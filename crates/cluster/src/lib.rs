@@ -8,14 +8,14 @@
 //! cluster, the shorter one repeating until the longer completes its
 //! repetitions.
 //!
-//! * [`sim`] — the per-cycle simulation loop tying demand → RAPL domains →
-//!   measurements → manager → caps → progress.
+//! * [`sim`] — the staged per-cycle simulation loop tying demand → RAPL
+//!   domains → measurements → manager → caps → progress, over a pinned,
+//!   scheduled or request-serving workload.
 //! * [`controlplane`] — the latency/traffic model of the server↔client
 //!   messaging (3 bytes per unit per cycle, BSD-socket latencies; §6.5).
-//! * [`protocol`] — the 3-byte wire frames (re-exported from `dps-ctrl`,
-//!   which also provides the full framed control plane with lossy links,
-//!   node agents and a budget-safe controller). The simulator selects
-//!   between the direct, quantized and framed planes via
+//!   The 3-byte wire frames and the full framed control plane (lossy
+//!   links, node agents, a budget-safe controller) live in `dps-ctrl`; the
+//!   simulator selects between the direct, quantized and framed planes via
 //!   [`sim::ControlPlaneMode`].
 //! * [`satisfaction`] — per-cluster satisfaction (Eq. 1) and pairwise
 //!   fairness (Eq. 2) accounting.
@@ -40,7 +40,6 @@ pub mod chaos;
 pub mod controlplane;
 pub mod invariant;
 pub mod logging;
-pub mod protocol;
 pub mod runner;
 pub mod satisfaction;
 pub mod shocks;

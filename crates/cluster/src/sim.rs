@@ -1,37 +1,49 @@
 //! The per-cycle cluster simulation loop.
 //!
-//! Wiring per decision cycle (period `dT`, default 1 s):
+//! [`ClusterSim::cycle`] runs one decision window (period `dT`, default
+//! 1 s) as a fixed sequence of stages. Only **begin**, **demands** and
+//! **advance** depend on what runs on the units: one pinned job per
+//! cluster, the [`dps_sched`] job queue, or [`dps_traffic`] request
+//! serving, chosen by the constructor.
 //!
-//! 1. each cluster's job translates its current work position into a power
-//!    demand per socket (per-socket program variants);
-//! 2. the RAPL domains deliver `min(demand, cap)` (with the idle floor) and
-//!    accumulate energy;
-//! 3. node clients read the (noisy) energy counters → measurements;
-//! 4. the power manager observes the measurements (the oracle additionally
-//!    sees true demand) and rewrites the caps;
-//! 5. the new caps are programmed into the domains (they take effect next
-//!    window, as in a real deployment);
-//! 6. each cluster's job advances at the pace of its slowest socket
-//!    (barrier-synchronised data-parallel execution);
-//! 7. satisfaction trackers and the optional cycle log record the window.
+//! 1. **trace open**: the cycle envelope and fault-window edges;
+//! 2. **budget**: base × schedule × chaos factor, pushed on change;
+//! 3. **mode**: the `Normal → Degraded → SafeMode` ladder steps;
+//! 4. **begin**: the workload changes membership and tells the manager;
+//! 5. **demands**: job positions become per-socket demand;
+//! 6. **plant**: the RAPL domains deliver `min(demand, cap)`;
+//! 7. **exchange**: readings reach the manager through the control plane
+//!    and caps come back, taking effect next window;
+//! 8. **readback**: programmed caps go back for write verification;
+//! 9. **monitor**: the invariant monitor checks budget and caps;
+//! 10. **control-plane delta**: frame accounting;
+//! 11. **advance**: jobs progress at the power they got;
+//! 12. **satisfaction**: per-cluster Eq. 1 accounting;
+//! 13. **log**: the optional per-cycle record;
+//! 14. **watchdog**: the periodic manager checkpoint;
+//! 15. **trace close**: the cycle envelope closes;
+//! 16. **confidence**: the mode ladder's inputs for the next cycle.
 
 use crate::chaos::ChaosSchedule;
 use crate::invariant::{InvariantConfig, InvariantInputs, InvariantMonitor};
 use crate::logging::{CycleLog, CycleRecord};
 use crate::satisfaction::SatisfactionTracker;
 use crate::shocks::BudgetSchedule;
+use dps_core::budget::{enforce_budget, BUDGET_EPSILON};
 use dps_core::guard::HealthState;
-use dps_core::manager::PowerManager;
+use dps_core::manager::{constant_cap, PowerManager, ShardSpan, UnitLimits};
 use dps_core::{ConfidenceReport, ModeConfig, ModeMachine, OperatingMode};
+use dps_ctrl::frame::Frame;
 use dps_ctrl::{CtrlStats, FramedConfig, FramedControlPlane};
 use dps_idle::{Demotion, IdleConfig, IdleFleet, WakeFinished};
 use dps_obs::{Event, FaultDomain, PhaseKind, ProvisionKind, SinkHandle};
 use dps_rapl::{DomainBank, DomainSpec, NoiseModel, PowerInterface, Topology, UnitFaultSchedule};
-use dps_sched::{JobRecord, JobScheduler, SchedConfig};
+use dps_sched::{JobRecord, JobScheduler, SchedConfig, SchedEvent};
 use dps_sim_core::rng::RngStream;
 use dps_sim_core::units::{Seconds, SimClock, Watts};
 use dps_traffic::{RequestStats, TrafficConfig, TrafficDriver};
-use dps_workloads::{DemandProgram, PerfModel, Phase, RunningWorkload};
+use dps_workloads::generator::socket_variant;
+use dps_workloads::{DemandProgram, PerfModel, RunningWorkload};
 
 /// How measurements and cap assignments travel between the manager and the
 /// units. See the "Control-plane modes" section of `DESIGN.md`.
@@ -43,7 +55,7 @@ pub enum ControlPlaneMode {
     #[default]
     Direct,
     /// Values round-trip through the 3-byte wire frames
-    /// ([`crate::protocol`]) and quantize to 0.1 W exactly as they would
+    /// ([`dps_ctrl::frame`]) and quantize to 0.1 W exactly as they would
     /// over the testbed's sockets, but transport is still instantaneous
     /// and lossless.
     Quantized,
@@ -253,6 +265,14 @@ struct ClusterJob {
     variant_rng: RngStream,
 }
 
+/// Pinned-mode state: one repeating job per cluster.
+struct PinnedState {
+    jobs: Vec<ClusterJob>,
+    /// Per-unit managed membership: false while a chaos window holds the
+    /// unit's node down (it then demands nothing).
+    up: Vec<bool>,
+}
+
 /// One scheduled job currently running on its allocated sockets
 /// (scheduler mode).
 struct ActiveJob {
@@ -292,16 +312,524 @@ struct TrafficState {
     wakes: Vec<WakeFinished>,
 }
 
-/// Builds the per-socket demand variants for one base program.
-fn make_variants(
-    base: &DemandProgram,
-    tdp: f64,
-    per_cluster: usize,
-    rng: &RngStream,
-) -> Vec<DemandProgram> {
-    (0..per_cluster)
-        .map(|s| dps_workloads::generator::socket_variant(base, tdp, s, rng))
-        .collect()
+/// What runs on the units. Each cycle it changes membership
+/// ([`Workload::begin`]), sets demand ([`Workload::demands`]) and advances
+/// work ([`Workload::advance`]); the rest of the cycle is mode-blind.
+enum Workload {
+    /// One repeating job per cluster, optionally regenerated per run.
+    Pinned(PinnedState),
+    /// Jobs from the [`dps_sched`] queue on whole nodes.
+    Scheduled(Box<SchedState>),
+    /// [`dps_traffic`] request serving on an elastically powered fleet.
+    Traffic(Box<TrafficState>),
+}
+
+/// What the workload stages read from the simulator in one cycle.
+struct Stage<'a> {
+    config: &'a SimConfig,
+    now: Seconds,
+    cycle: u64,
+    sink: &'a SinkHandle,
+}
+
+/// Builds `n` per-socket demand variants of one base program.
+fn make_variants(base: &DemandProgram, tdp: f64, n: usize, rng: &RngStream) -> Vec<DemandProgram> {
+    (0..n).map(|s| socket_variant(base, tdp, s, rng)).collect()
+}
+
+/// Advances a barrier-synchronised job by one window, given its sockets'
+/// achieved progress rates. Spark stages and NPB iterations wait for every
+/// socket, so the job moves at the pace of its slowest one: a single
+/// starved socket stalls the whole job. This is the straggler effect the
+/// paper's readjusting module explicitly repairs ("fix any major
+/// unfairness due to the Stateless Module's random ordering", §4.3.4).
+/// Between runs the rate is irrelevant; time still passes.
+fn barrier_advance(run: &mut RunningWorkload, rates: impl Iterator<Item = f64>, period: Seconds) {
+    let rate = if run.demand() > 0.0 {
+        rates.fold(1.0, f64::min)
+    } else {
+        1.0
+    };
+    run.advance_with_rate(rate, period);
+}
+
+impl PinnedState {
+    /// One job per cluster from `(program, factory)` pairs; per-socket
+    /// variants derive deterministically from `rng`.
+    fn new(
+        config: &SimConfig,
+        programs: Vec<(DemandProgram, Option<ProgramFactory>)>,
+        rng: &RngStream,
+    ) -> Self {
+        assert_eq!(
+            programs.len(),
+            config.topology.clusters,
+            "one program per cluster"
+        );
+        let (tdp, per_cluster) = (config.domain_spec.tdp, config.topology.units_per_cluster());
+        let jobs = programs
+            .into_iter()
+            .enumerate()
+            .map(|(c, (base, factory))| {
+                let variant_rng = rng.child(&format!("cluster/{c}/variants"));
+                let socket_programs = make_variants(&base, tdp, per_cluster, &variant_rng);
+                ClusterJob {
+                    run: RunningWorkload::repeating(base, config.perf, config.idle_gap),
+                    socket_programs,
+                    factory,
+                    realized_run: 0,
+                    variant_rng,
+                }
+            })
+            .collect();
+        Self {
+            jobs,
+            up: vec![true; config.topology.total_units()],
+        }
+    }
+
+    /// Chaos node churn: units on powered-down racks leave managed
+    /// membership, and rejoin when the window closes. Returns whether any
+    /// unit flipped.
+    fn churn(&mut self, at: &Stage) -> bool {
+        let chaos = &at.config.chaos;
+        if !chaos.has_churn() {
+            return false;
+        }
+        let mut flipped = false;
+        for (u, up) in self.up.iter_mut().enumerate() {
+            let now_up = !chaos.unit_down(&at.config.topology, u, at.now);
+            flipped |= now_up != *up;
+            *up = now_up;
+        }
+        flipped
+    }
+
+    /// Each cluster's job advances at the pace of its slowest socket; a
+    /// completed run's successor gets a freshly generated program (and
+    /// socket variants) at the run boundary.
+    fn advance(&mut self, at: &Stage, demands: &[Watts], true_power: &[Watts]) {
+        let (cfg, topo) = (at.config, at.config.topology);
+        let (tdp, per_cluster) = (cfg.domain_spec.tdp, topo.units_per_cluster());
+        let rate = |u: usize| cfg.perf.rate(demands[u], true_power[u]);
+        for (c, job) in self.jobs.iter_mut().enumerate() {
+            barrier_advance(&mut job.run, topo.cluster_range(c).map(rate), cfg.period);
+            if let Some(factory) = job.factory.as_mut() {
+                let completed = job.run.runs_completed();
+                if completed > job.realized_run && job.run.position() == 0.0 {
+                    let base = factory(completed);
+                    let run_rng = job.variant_rng.child(&format!("run{completed}"));
+                    job.socket_programs = make_variants(&base, tdp, per_cluster, &run_rng);
+                    job.run.replace_program(base);
+                    job.realized_run = completed;
+                }
+            }
+        }
+    }
+}
+
+impl SchedState {
+    /// Realises `config.scheduler`'s arrival trace from
+    /// `rng.child("sched/arrivals")` on an idle cluster.
+    fn new(config: &SimConfig, rng: &RngStream) -> Self {
+        let sched_cfg = config
+            .scheduler
+            .as_ref()
+            .expect("SimConfig::scheduler must be Some for scheduler mode");
+        let n = config.topology.total_units();
+        let budget = config.total_budget();
+        let mut arrival_rng = rng.child("sched/arrivals");
+        let trace = sched_cfg.arrivals.generate(
+            config.total_nodes(),
+            config.domain_spec.tdp,
+            budget / n as f64,
+            sched_cfg.walltime_factor,
+            &mut arrival_rng,
+        );
+        let scheduler = JobScheduler::new(
+            trace,
+            config.total_nodes(),
+            config.topology.sockets_per_node,
+            budget,
+            sched_cfg.backfill,
+        )
+        .expect("arrival trace must fit the cluster");
+        Self {
+            scheduler,
+            jobs: Vec::new(),
+            occupied: vec![false; n],
+            enforce_walltime: sched_cfg.enforce_walltime,
+            job_rng: rng.child("sched/jobs"),
+        }
+    }
+
+    /// Evicts walltime overruns, admits due arrivals and realises newly
+    /// started jobs on their sockets. Returns whether occupancy flipped.
+    fn begin(&mut self, at: &Stage) -> bool {
+        let mut flipped = false;
+        if self.enforce_walltime {
+            for id in self.scheduler.overrunning(at.now) {
+                self.scheduler.evict(id, at.now);
+                if let Some(pos) = self.jobs.iter().position(|j| j.id == id) {
+                    for &u in &self.jobs[pos].units {
+                        self.occupied[u] = false;
+                    }
+                    self.jobs.swap_remove(pos);
+                    flipped = true;
+                }
+            }
+        }
+
+        let spk = at.config.topology.sockets_per_node;
+        for started in self.scheduler.tick(at.now) {
+            // Each job gets its own program realisation (run-to-run
+            // variance) and per-socket variants, all derived from the
+            // job id so every manager sees the identical workload.
+            let mut job_rng = self.job_rng.child(&format!("job{}", started.id));
+            let seed = job_rng.next_u64();
+            let base = dps_workloads::build_program(&started.spec, &at.config.perf, seed);
+            let units: Vec<usize> = started
+                .nodes
+                .iter()
+                .flat_map(|&node| node * spk..(node + 1) * spk)
+                .collect();
+            let socket_programs =
+                make_variants(&base, at.config.domain_spec.tdp, units.len(), &job_rng);
+            for &u in &units {
+                self.occupied[u] = true;
+            }
+            flipped = true;
+            self.jobs.push(ActiveJob {
+                id: started.id,
+                run: RunningWorkload::once(base, at.config.perf),
+                socket_programs,
+                units,
+            });
+        }
+        flipped
+    }
+
+    /// Each job advances at the pace of its slowest socket; completions
+    /// retire through the queue (freeing nodes and power reservation).
+    /// Returns the queue depth and this cycle's lifecycle events, drained
+    /// even when unlogged so they cannot accumulate.
+    fn advance(
+        &mut self,
+        at: &Stage,
+        demands: &[Watts],
+        true_power: &[Watts],
+        manager: &mut dyn PowerManager,
+    ) -> (usize, Vec<SchedEvent>) {
+        let cfg = at.config;
+        let end = at.now + cfg.period;
+        let rate = |u: &usize| cfg.perf.rate(demands[*u], true_power[*u]);
+        let mut flipped = false;
+        let mut i = 0;
+        while i < self.jobs.len() {
+            let job = &mut self.jobs[i];
+            barrier_advance(&mut job.run, job.units.iter().map(rate), cfg.period);
+            if job.run.is_done() {
+                self.scheduler.finish(job.id, end);
+                for &u in &job.units {
+                    self.occupied[u] = false;
+                }
+                self.jobs.swap_remove(i);
+                flipped = true;
+            } else {
+                i += 1;
+            }
+        }
+        if flipped {
+            manager.observe_membership(&self.occupied);
+        }
+        (self.scheduler.queue_depth(), self.scheduler.take_events())
+    }
+}
+
+impl TrafficState {
+    /// Realises `config.traffic`'s request stream from
+    /// `rng.child("traffic")` and one serving loop per unit, with the
+    /// initially dark units on the sleep ladder when `config.idle` is set.
+    fn new(config: &SimConfig, rng: &RngStream) -> Self {
+        let traffic_cfg = config
+            .traffic
+            .as_ref()
+            .expect("SimConfig::traffic must be Some for traffic mode");
+        let n = config.topology.total_units();
+        let spk = config.topology.sockets_per_node;
+        let driver = TrafficDriver::new(
+            traffic_cfg.clone(),
+            config.total_nodes(),
+            spk,
+            rng.child("traffic"),
+        );
+
+        // Per-unit serving loops: one base realisation of the service
+        // workload, a deterministic per-socket variant each, repeating
+        // back-to-back (a serving socket never idles between runs; request
+        // pressure scales its demand instead).
+        let mut service_rng = rng.child("traffic/service");
+        let seed = service_rng.next_u64();
+        let base = dps_workloads::build_program(&traffic_cfg.service, &config.perf, seed);
+        let sockets = make_variants(&base, config.domain_spec.tdp, n, &service_rng)
+            .into_iter()
+            .map(|program| RunningWorkload::repeating(program, config.perf, 0.0))
+            .collect();
+
+        let mut occupied = vec![false; n];
+        for (node, &on) in driver.powered().iter().enumerate() {
+            if on {
+                occupied[node * spk..(node + 1) * spk].fill(true);
+            }
+        }
+        // With idle management, the initially dark units start on the
+        // sleep ladder rather than hard-off (no sink is attached yet, so
+        // these construction-time demotions emit nothing).
+        let fleet = config.idle.clone().map(|ic| {
+            let mut fleet = IdleFleet::new(n, ic, rng.child("idle"));
+            for (u, &on) in occupied.iter().enumerate() {
+                if !on {
+                    fleet.demote(u, 0.0);
+                }
+            }
+            fleet
+        });
+        Self {
+            driver,
+            sockets,
+            occupied,
+            fleet,
+            demotions: Vec::new(),
+            wakes: Vec::new(),
+        }
+    }
+
+    /// The provisioner (re)sizes the powered fleet from last window's
+    /// evidence and the generator contributes this window's arrivals. Node
+    /// flips expand to unit occupancy, and each provisioning decision is
+    /// emitted as an [`Event::Provision`]. Returns whether occupancy
+    /// flipped.
+    fn begin(&mut self, at: &Stage) -> bool {
+        let spk = at.config.topology.sockets_per_node;
+        let (now, cycle) = (at.now, at.cycle);
+        let tracing = at.sink.enabled();
+        let sleep_event = |d: Demotion| Event::SleepTransition {
+            cycle,
+            unit: d.unit as u32,
+            from_state: d.from,
+            to_state: d.to,
+        };
+        let mut flipped = false;
+
+        // Idle pre-phase: sleeping units deepen along their compiled
+        // schedules, and wakes begun in earlier cycles complete — those
+        // units rejoin the serving fleet this cycle.
+        if let Some(fleet) = self.fleet.as_mut() {
+            self.demotions.clear();
+            fleet.advance(now, &mut self.demotions);
+            if tracing {
+                for &d in &self.demotions {
+                    at.sink.emit(sleep_event(d));
+                }
+            }
+            self.wakes.clear();
+            fleet.tick_wakes(at.config.period, &mut self.wakes);
+            for w in &self.wakes {
+                self.occupied[w.unit] = true;
+                flipped = true;
+                if tracing {
+                    at.sink.emit(Event::WakeDone {
+                        cycle,
+                        unit: w.unit as u32,
+                        state: w.state,
+                        energy_j: w.energy_j,
+                    });
+                    at.sink.emit(Event::PredictorSample {
+                        cycle,
+                        unit: w.unit as u32,
+                        predicted_s: w.predicted_s,
+                        actual_s: w.actual_s,
+                    });
+                }
+            }
+        }
+
+        let begin = self.driver.begin_cycle(now, at.config.period);
+        for change in &begin.changes {
+            for &node in &change.nodes {
+                for u in node * spk..(node + 1) * spk {
+                    match (self.fleet.as_mut(), change.power_on) {
+                        // Sleep-managed power-on: begin the wake; the unit
+                        // stays out of the serving fleet until the state's
+                        // latency elapses (see the pre-phase above).
+                        (Some(fleet), true) => {
+                            if let Some(w) = fleet.begin_wake(u, now) {
+                                if tracing {
+                                    at.sink.emit(Event::WakeStart {
+                                        cycle,
+                                        unit: u as u32,
+                                        state: w.state,
+                                        latency_s: w.latency_s,
+                                    });
+                                }
+                            }
+                        }
+                        // Sleep-managed power-off: demote onto the ladder
+                        // instead of hard-off (a mid-wake unit is
+                        // re-demoted — provisioner flapping).
+                        (Some(fleet), false) => {
+                            self.occupied[u] = false;
+                            if let Some(d) = fleet.demote(u, now) {
+                                if tracing {
+                                    at.sink.emit(sleep_event(d));
+                                }
+                            }
+                        }
+                        (None, on) => self.occupied[u] = on,
+                    }
+                }
+            }
+            flipped = true;
+            if tracing {
+                at.sink.emit(Event::Provision {
+                    cycle,
+                    kind: if change.power_on {
+                        ProvisionKind::PowerOn
+                    } else {
+                        ProvisionKind::PowerOff
+                    },
+                    nodes: change.nodes.len() as u32,
+                    active_nodes: change.active_after as u32,
+                    utilization: change.utilization,
+                });
+            }
+        }
+        flipped
+    }
+
+    /// Serving sockets are independent (no barrier — each request runs on
+    /// one socket), so each loop advances at its own achieved rate. The
+    /// summed rates set how many queued requests drain this window, and
+    /// only powered sockets charge energy to the request bill (a
+    /// powered-off node draws nothing as far as the service is concerned).
+    fn advance(&mut self, at: &Stage, demands: &[Watts], true_power: &[Watts]) {
+        let (perf, period) = (&at.config.perf, at.config.period);
+        let mut speed_sum = 0.0;
+        let mut joules = 0.0;
+        for u in 0..demands.len() {
+            if self.occupied[u] {
+                let rate = perf.rate(demands[u], true_power[u]);
+                speed_sum += rate;
+                joules += true_power[u] * period;
+                self.sockets[u].advance_with_rate(rate, period);
+            }
+        }
+        // Sleep-managed fleets are not free when dark: residency power
+        // accrues every window and each begun wake charges its one-shot
+        // energy, all billed to the same request-energy ledger.
+        if let Some(fleet) = self.fleet.as_mut() {
+            joules += fleet.sleep_power_w() * period + fleet.drain_wake_energy();
+        }
+        let end = self.driver.end_cycle(at.now, period, speed_sum, joules);
+        if let (true, Some(m)) = (at.sink.enabled(), end.milestone) {
+            at.sink.emit(Event::RequestMilestone {
+                cycle: at.cycle,
+                served: m.served,
+                slo_ok: m.slo_ok,
+                backlog: m.backlog,
+            });
+        }
+    }
+}
+
+impl Workload {
+    /// Per-unit occupancy in the modes that churn it: scheduler and
+    /// traffic. `None` in pinned mode, where every unit hosts its
+    /// cluster's workload for the whole run.
+    fn occupied(&self) -> Option<&[bool]> {
+        match self {
+            Workload::Pinned(_) => None,
+            Workload::Scheduled(st) => Some(&st.occupied),
+            Workload::Traffic(st) => Some(&st.occupied),
+        }
+    }
+
+    /// Membership changes for this window, reported to the manager before
+    /// it assigns caps.
+    fn begin(&mut self, at: &Stage, manager: &mut dyn PowerManager) {
+        let flipped = match self {
+            Workload::Pinned(st) => st.churn(at).then_some(&st.up),
+            Workload::Scheduled(st) => st.begin(at).then_some(&st.occupied),
+            Workload::Traffic(st) => st.begin(at).then_some(&st.occupied),
+        };
+        if let Some(membership) = flipped {
+            manager.observe_membership(membership);
+        }
+    }
+
+    /// Per-socket demand from job positions. Units outside membership
+    /// (chaos-down, unoccupied, dark) demand nothing.
+    fn demands(&self, at: &Stage, demands: &mut [Watts]) {
+        match self {
+            Workload::Pinned(st) => {
+                for (c, job) in st.jobs.iter().enumerate() {
+                    let active = job.run.demand() > 0.0;
+                    let pos = job.run.position();
+                    for (s, u) in at.config.topology.cluster_range(c).enumerate() {
+                        demands[u] = if active && st.up[u] {
+                            job.socket_programs[s].demand_at(pos)
+                        } else {
+                            0.0
+                        };
+                    }
+                }
+            }
+            Workload::Scheduled(st) => {
+                demands.fill(0.0);
+                for job in &st.jobs {
+                    if job.run.demand() > 0.0 {
+                        let pos = job.run.position();
+                        for (k, &u) in job.units.iter().enumerate() {
+                            demands[u] = job.socket_programs[k].demand_at(pos);
+                        }
+                    }
+                }
+            }
+            Workload::Traffic(st) => {
+                // Every powered socket runs its serving loop at the
+                // fraction of its capacity the request backlog can fill,
+                // but never below the service's resident footprint — a
+                // powered socket is not energy-proportional.
+                let busy = st.driver.busy_fraction(at.config.period);
+                let floor = st.driver.config().service_floor;
+                for (u, demand) in demands.iter_mut().enumerate() {
+                    *demand = if st.occupied[u] {
+                        (busy * st.sockets[u].demand()).max(floor)
+                    } else {
+                        0.0
+                    };
+                }
+            }
+        }
+    }
+
+    /// Work progresses at the power each socket was granted. Returns the
+    /// scheduler's queue depth and the lifecycle events drained this cycle
+    /// (zero and empty outside scheduler mode).
+    fn advance(
+        &mut self,
+        at: &Stage,
+        demands: &[Watts],
+        true_power: &[Watts],
+        manager: &mut dyn PowerManager,
+    ) -> (usize, Vec<SchedEvent>) {
+        match self {
+            Workload::Pinned(st) => st.advance(at, demands, true_power),
+            Workload::Scheduled(st) => return st.advance(at, demands, true_power, manager),
+            Workload::Traffic(st) => st.advance(at, demands, true_power),
+        }
+        (0, Vec::new())
+    }
 }
 
 /// The simulator.
@@ -333,8 +861,10 @@ fn make_variants(
 /// ```
 pub struct ClusterSim {
     config: SimConfig,
+    /// Per-unit cap limits from the domain spec.
+    limits: UnitLimits,
     bank: DomainBank,
-    jobs: Vec<ClusterJob>,
+    workload: Workload,
     manager: Box<dyn PowerManager>,
     clock: SimClock,
     caps: Vec<Watts>,
@@ -352,10 +882,6 @@ pub struct ClusterSim {
     watchdog_every: Option<u64>,
     /// Latest watchdog snapshot, if the manager supports checkpointing.
     last_checkpoint: Option<Vec<u8>>,
-    /// Scheduler-mode state; `None` in the classic pinned-workload mode.
-    sched: Option<SchedState>,
-    /// Traffic-mode state; `None` outside traffic mode.
-    traffic: Option<TrafficState>,
     /// Structured trace sink (`dps-obs`); no-op unless
     /// [`ClusterSim::set_trace_sink`] was called.
     sink: SinkHandle,
@@ -384,14 +910,8 @@ pub struct ClusterSim {
     shadow_caps: Vec<Watts>,
     /// Always-on per-cycle safety monitor.
     monitor: InvariantMonitor,
-    /// The configured base budget (`SimConfig::total_budget`).
-    base_budget: Watts,
     /// Budget currently in force: base × schedule factor × chaos factor.
     current_budget: Watts,
-    /// Per-unit chaos-churn state (true = node powered down by a window).
-    chaos_down: Vec<bool>,
-    /// Scratch for membership updates under chaos churn.
-    membership: Vec<bool>,
 }
 
 impl ClusterSim {
@@ -403,123 +923,19 @@ impl ClusterSim {
     ///
     /// # Panics
     /// Panics unless one program per cluster is supplied and the config
-    /// validates (see [`SimConfig::validate`]).
+    /// validates (see [`SimConfig::validate`]), and when
+    /// `config.scheduler` or `config.traffic` is set (those modes are built
+    /// by [`ClusterSim::with_scheduler`] and [`ClusterSim::with_traffic`]).
     pub fn new(
         config: SimConfig,
         programs: Vec<DemandProgram>,
         manager: Box<dyn PowerManager>,
         rng: &RngStream,
     ) -> Self {
-        config.validate().expect("invalid sim config");
-        assert_eq!(
-            programs.len(),
-            config.topology.clusters,
-            "one program per cluster"
-        );
-        assert_eq!(
-            manager.num_units(),
-            config.topology.total_units(),
-            "manager sized for the topology"
-        );
-        let mut config = config;
-        // Compile chaos windows down into the per-layer fault schedules:
-        // the RAPL substrate and the framed plane never learn about chaos,
-        // they just see faults (and the fault-edge tracing covers both).
-        if !config.chaos.is_empty() {
-            for ev in config.chaos.unit_fault_events(&config.topology) {
-                config.sensor_faults.push(ev);
-            }
-            let ctrl_events = config.chaos.ctrl_fault_events(&config.topology);
-            if let ControlPlaneMode::Framed(framed) = &mut config.control_plane {
-                for ev in ctrl_events {
-                    framed.faults.push(ev);
-                }
-            }
-        }
-        let n = config.topology.total_units();
-        let mut bank = DomainBank::homogeneous(n, config.domain_spec, config.noise.clone(), rng);
-        if !config.sensor_faults.is_empty() {
-            bank.set_faults(config.sensor_faults.clone(), rng);
-        }
-
-        let jobs = programs
-            .into_iter()
-            .enumerate()
-            .map(|(c, base)| {
-                let variant_rng = rng.child(&format!("cluster/{c}/variants"));
-                let socket_programs = make_variants(
-                    &base,
-                    config.domain_spec.tdp,
-                    config.topology.units_per_cluster(),
-                    &variant_rng,
-                );
-                ClusterJob {
-                    run: RunningWorkload::repeating(base, config.perf, config.idle_gap),
-                    socket_programs,
-                    factory: None,
-                    realized_run: 0,
-                    variant_rng,
-                }
-            })
-            .collect();
-
-        let limits = dps_core::manager::UnitLimits {
-            min_cap: config.domain_spec.min_cap,
-            max_cap: config.domain_spec.tdp,
-        };
-        let constant = dps_core::manager::constant_cap(config.total_budget(), n, limits);
-        let plane = match &config.control_plane {
-            ControlPlaneMode::Framed(framed) => Some(FramedControlPlane::new(
-                config.total_nodes(),
-                config.topology.sockets_per_node,
-                config.total_budget(),
-                limits,
-                constant,
-                framed.clone(),
-                &rng.child("ctrl"),
-            )),
-            _ => None,
-        };
-        let mut sim = Self {
-            plane,
-            caps: vec![constant; n],
-            satisfaction: (0..config.topology.clusters)
-                .map(|_| SatisfactionTracker::new())
-                .collect(),
-            log: CycleLog::disabled(),
-            demands: vec![0.0; n],
-            measured: vec![0.0; n],
-            true_power: vec![0.0; n],
-            applied: vec![0.0; n],
-            watchdog_every: None,
-            last_checkpoint: None,
-            sched: None,
-            traffic: None,
-            sink: SinkHandle::noop(),
-            prev_ctrl: CtrlStats::default(),
-            trace_caps: Vec::new(),
-            fault_sensor: vec![false; n],
-            fault_actuator: vec![false; n],
-            mode_machine: ModeMachine::new(config.mode),
-            confidence: ConfidenceReport::clean(),
-            prev_gather_misses: 0,
-            last_good: vec![constant; n],
-            shadow_caps: vec![constant; n],
-            monitor: InvariantMonitor::new(InvariantConfig::for_plane(&config.control_plane, n)),
-            base_budget: config.total_budget(),
-            current_budget: config.total_budget(),
-            chaos_down: vec![false; n],
-            membership: vec![true; n],
-            clock: SimClock::new(config.period),
-            bank,
-            jobs,
-            manager,
-            config,
-        };
-        for u in 0..n {
-            sim.bank.set_cap(u, sim.caps[u]);
-        }
-        sim
+        let programs = programs.into_iter().map(|p| (p, None)).collect();
+        Self::build(config, manager, rng, |cfg| {
+            Workload::Pinned(PinnedState::new(cfg, programs, rng))
+        })
     }
 
     /// Builds a simulator whose workloads regenerate per run: `factories[c]`
@@ -536,7 +952,7 @@ impl ClusterSim {
     /// [`ClusterSim::new`] conditions).
     pub fn with_factories(
         config: SimConfig,
-        mut factories: Vec<ProgramFactory>,
+        factories: Vec<ProgramFactory>,
         manager: Box<dyn PowerManager>,
         rng: &RngStream,
     ) -> Self {
@@ -545,12 +961,10 @@ impl ClusterSim {
             config.topology.clusters,
             "one factory per cluster"
         );
-        let programs: Vec<DemandProgram> = factories.iter_mut().map(|f| f(0)).collect();
-        let mut sim = Self::new(config, programs, manager, rng);
-        for (job, factory) in sim.jobs.iter_mut().zip(factories) {
-            job.factory = Some(factory);
-        }
-        sim
+        let programs = factories.into_iter().map(|mut f| (f(0), Some(f))).collect();
+        Self::build(config, manager, rng, |cfg| {
+            Workload::Pinned(PinnedState::new(cfg, programs, rng))
+        })
     }
 
     /// Builds a simulator in **scheduler mode**: instead of one pinned
@@ -578,52 +992,9 @@ impl ClusterSim {
         manager: Box<dyn PowerManager>,
         rng: &RngStream,
     ) -> Self {
-        let sched_cfg = config
-            .scheduler
-            .clone()
-            .expect("SimConfig::scheduler must be Some for scheduler mode");
-        config.validate().expect("invalid sim config");
-        let n = config.topology.total_units();
-        let budget = config.total_budget();
-        let share = budget / n as f64;
-        let mut arrival_rng = rng.child("sched/arrivals");
-        let trace = sched_cfg.arrivals.generate(
-            config.total_nodes(),
-            config.domain_spec.tdp,
-            share,
-            sched_cfg.walltime_factor,
-            &mut arrival_rng,
-        );
-        let scheduler = JobScheduler::new(
-            trace,
-            config.total_nodes(),
-            config.topology.sockets_per_node,
-            budget,
-            sched_cfg.backfill,
-        )
-        .expect("arrival trace must fit the cluster");
-
-        // Reuse the pinned-mode construction for the plant and control
-        // plumbing, then swap the placeholder workloads out for scheduler
-        // state (an idle cluster until jobs land).
-        let mut base_cfg = config;
-        base_cfg.scheduler = None;
-        let placeholder: Vec<DemandProgram> = (0..base_cfg.topology.clusters)
-            .map(|_| DemandProgram::new(vec![Phase::constant(1.0, 0.0)]))
-            .collect();
-        let mut sim = Self::new(base_cfg, placeholder, manager, rng);
-        sim.config.scheduler = Some(sched_cfg.clone());
-        sim.jobs.clear();
-        let occupied = vec![false; n];
-        sim.manager.observe_membership(&occupied);
-        sim.sched = Some(SchedState {
-            scheduler,
-            jobs: Vec::new(),
-            occupied,
-            enforce_walltime: sched_cfg.enforce_walltime,
-            job_rng: rng.child("sched/jobs"),
-        });
-        sim
+        Self::build(config, manager, rng, |cfg| {
+            Workload::Scheduled(Box::new(SchedState::new(cfg, rng)))
+        })
     }
 
     /// Builds a simulator in **traffic mode**: a seeded request stream
@@ -651,80 +1022,104 @@ impl ClusterSim {
         manager: Box<dyn PowerManager>,
         rng: &RngStream,
     ) -> Self {
-        let traffic_cfg = config
-            .traffic
-            .clone()
-            .expect("SimConfig::traffic must be Some for traffic mode");
+        Self::build(config, manager, rng, |cfg| {
+            Workload::Traffic(Box::new(TrafficState::new(cfg, rng)))
+        })
+    }
+
+    /// The constructors' shared builder: validates `config`, builds the
+    /// workload from it, compiles chaos windows into the fault schedules
+    /// and assembles the plant, control plane and monitor.
+    fn build(
+        mut config: SimConfig,
+        mut manager: Box<dyn PowerManager>,
+        rng: &RngStream,
+        workload: impl FnOnce(&SimConfig) -> Workload,
+    ) -> Self {
         config.validate().expect("invalid sim config");
+        let workload = workload(&config);
+        if let Workload::Pinned(_) = workload {
+            assert!(
+                config.scheduler.is_none(),
+                "SimConfig::scheduler is set: build scheduler mode with ClusterSim::with_scheduler"
+            );
+            assert!(
+                config.traffic.is_none(),
+                "SimConfig::traffic is set: build traffic mode with ClusterSim::with_traffic"
+            );
+        }
         let n = config.topology.total_units();
-        let spk = config.topology.sockets_per_node;
-        let driver = TrafficDriver::new(
-            traffic_cfg.clone(),
-            config.total_nodes(),
-            spk,
-            rng.child("traffic"),
-        );
+        assert_eq!(manager.num_units(), n, "manager sized for the topology");
+        if let Some(occupied) = workload.occupied() {
+            manager.observe_membership(occupied);
+        }
 
-        // Per-unit serving loops: one base realisation of the service
-        // workload, a deterministic per-socket variant each, repeating
-        // back-to-back (a serving socket never idles between runs; request
-        // pressure scales its demand instead).
-        let mut service_rng = rng.child("traffic/service");
-        let seed = service_rng.next_u64();
-        let base = dps_workloads::build_program(&traffic_cfg.service, &config.perf, seed);
-        let sockets: Vec<RunningWorkload> = (0..n)
-            .map(|u| {
-                let program = dps_workloads::generator::socket_variant(
-                    &base,
-                    config.domain_spec.tdp,
-                    u,
-                    &service_rng,
-                );
-                RunningWorkload::repeating(program, config.perf, 0.0)
-            })
-            .collect();
-
-        // Reuse the pinned-mode construction for the plant and control
-        // plumbing, then swap the placeholder workloads out for the
-        // request engine.
-        let mut base_cfg = config;
-        base_cfg.traffic = None;
-        let idle_cfg = base_cfg.idle.take();
-        let placeholder: Vec<DemandProgram> = (0..base_cfg.topology.clusters)
-            .map(|_| DemandProgram::new(vec![Phase::constant(1.0, 0.0)]))
-            .collect();
-        let mut sim = Self::new(base_cfg, placeholder, manager, rng);
-        sim.config.traffic = Some(traffic_cfg);
-        sim.config.idle = idle_cfg.clone();
-        sim.jobs.clear();
-        let mut occupied = vec![false; n];
-        for (node, &on) in driver.powered().iter().enumerate() {
-            if on {
-                occupied[node * spk..(node + 1) * spk].fill(true);
+        // Compile chaos windows down into the per-layer fault schedules:
+        // the RAPL substrate and the framed plane never learn about chaos,
+        // they just see faults (and the fault-edge tracing covers both).
+        for ev in config.chaos.unit_fault_events(&config.topology) {
+            config.sensor_faults.push(ev);
+        }
+        if let ControlPlaneMode::Framed(framed) = &mut config.control_plane {
+            for ev in config.chaos.ctrl_fault_events(&config.topology) {
+                framed.faults.push(ev);
             }
         }
-        sim.manager.observe_membership(&occupied);
-        // With idle management, the initially dark units start on the
-        // sleep ladder rather than hard-off (no sink is attached yet, so
-        // these construction-time demotions emit nothing).
-        let fleet = idle_cfg.map(|ic| {
-            let mut fleet = IdleFleet::new(n, ic, rng.child("idle"));
-            for (u, &on) in occupied.iter().enumerate() {
-                if !on {
-                    fleet.demote(u, 0.0);
-                }
-            }
-            fleet
-        });
-        sim.traffic = Some(TrafficState {
-            driver,
-            sockets,
-            occupied,
-            fleet,
-            demotions: Vec::new(),
-            wakes: Vec::new(),
-        });
-        sim
+        let mut bank = DomainBank::homogeneous(n, config.domain_spec, config.noise.clone(), rng);
+        if !config.sensor_faults.is_empty() {
+            bank.set_faults(config.sensor_faults.clone(), rng);
+        }
+
+        let limits = UnitLimits {
+            min_cap: config.domain_spec.min_cap,
+            max_cap: config.domain_spec.tdp,
+        };
+        let constant = constant_cap(config.total_budget(), n, limits);
+        for u in 0..n {
+            bank.set_cap(u, constant);
+        }
+        let plane = match &config.control_plane {
+            ControlPlaneMode::Framed(framed) => Some(FramedControlPlane::new(
+                config.total_nodes(),
+                config.topology.sockets_per_node,
+                config.total_budget(),
+                limits,
+                constant,
+                framed.clone(),
+                &rng.child("ctrl"),
+            )),
+            _ => None,
+        };
+        Self {
+            limits,
+            plane,
+            caps: vec![constant; n],
+            satisfaction: vec![SatisfactionTracker::new(); config.topology.clusters],
+            log: CycleLog::disabled(),
+            demands: vec![0.0; n],
+            measured: vec![0.0; n],
+            true_power: vec![0.0; n],
+            applied: vec![0.0; n],
+            watchdog_every: None,
+            last_checkpoint: None,
+            sink: SinkHandle::noop(),
+            prev_ctrl: CtrlStats::default(),
+            trace_caps: Vec::new(),
+            fault_sensor: vec![false; n],
+            fault_actuator: vec![false; n],
+            mode_machine: ModeMachine::new(config.mode),
+            confidence: ConfidenceReport::clean(),
+            prev_gather_misses: 0,
+            last_good: vec![constant; n],
+            shadow_caps: vec![constant; n],
+            monitor: InvariantMonitor::new(InvariantConfig::for_plane(&config.control_plane, n)),
+            current_budget: config.total_budget(),
+            clock: SimClock::new(config.period),
+            bank,
+            workload,
+            manager,
+            config,
+        }
     }
 
     /// Enables per-cycle logging (records every window from now on).
@@ -748,11 +1143,32 @@ impl ClusterSim {
         // Baseline the delta trackers at the attach point so the first
         // traced cycle reports only what happens from here on.
         self.prev_ctrl = self.control_plane_stats().unwrap_or_default();
+        self.sample_faults(None);
+    }
+
+    /// Samples every unit's scripted fault windows at the current time.
+    /// With `edges_at`, each window that opened or closed since the last
+    /// sample is emitted as an [`Event::FaultEdge`] of that cycle.
+    fn sample_faults(&mut self, edges_at: Option<u64>) {
         let now = self.clock.now();
         for u in 0..self.fault_sensor.len() {
-            let (s, a) = self.config.sensor_faults.active_kinds(u, now);
-            self.fault_sensor[u] = s;
-            self.fault_actuator[u] = a;
+            let (sensor, actuator) = self.config.sensor_faults.active_kinds(u, now);
+            let windows = [
+                (FaultDomain::Sensor, sensor, &mut self.fault_sensor[u]),
+                (FaultDomain::Actuator, actuator, &mut self.fault_actuator[u]),
+            ];
+            for (domain, active, last) in windows {
+                if let (Some(cycle), true) = (edges_at, active != *last) {
+                    let unit = u as u32;
+                    self.sink.emit(Event::FaultEdge {
+                        cycle,
+                        unit,
+                        domain,
+                        active,
+                    });
+                }
+                *last = active;
+            }
         }
     }
 
@@ -779,12 +1195,21 @@ impl ClusterSim {
 
     /// Completed run count for a cluster's workload.
     pub fn runs_completed(&self, cluster: usize) -> usize {
-        self.jobs[cluster].run.runs_completed()
+        self.cluster_jobs()[cluster].run.runs_completed()
     }
 
     /// Completed run durations for a cluster's workload.
     pub fn run_durations(&self, cluster: usize) -> &[Seconds] {
-        self.jobs[cluster].run.run_durations()
+        self.cluster_jobs()[cluster].run.run_durations()
+    }
+
+    /// The pinned cluster jobs; empty in the other modes, so indexing
+    /// panics there.
+    fn cluster_jobs(&self) -> &[ClusterJob] {
+        match &self.workload {
+            Workload::Pinned(st) => &st.jobs,
+            _ => &[],
+        }
     }
 
     /// Satisfaction of a cluster so far (Eq. 1).
@@ -814,43 +1239,41 @@ impl ClusterSim {
 
     /// The job scheduler, when running in scheduler mode.
     pub fn scheduler(&self) -> Option<&JobScheduler> {
-        self.sched.as_ref().map(|s| &s.scheduler)
+        match &self.workload {
+            Workload::Scheduled(st) => Some(&st.scheduler),
+            _ => None,
+        }
     }
 
     /// Per-unit occupancy in scheduler or traffic mode; `None` in pinned
     /// mode (where every unit hosts its cluster's workload for the whole
     /// run).
     pub fn occupied_units(&self) -> Option<&[bool]> {
-        self.sched
-            .as_ref()
-            .map(|s| s.occupied.as_slice())
-            .or_else(|| self.traffic.as_ref().map(|t| t.occupied.as_slice()))
+        self.workload.occupied()
     }
 
     /// The traffic driver, when running in traffic mode.
     pub fn traffic_driver(&self) -> Option<&TrafficDriver> {
-        self.traffic.as_ref().map(|t| &t.driver)
+        match &self.workload {
+            Workload::Traffic(st) => Some(&st.driver),
+            _ => None,
+        }
     }
 
     /// Cumulative request bookkeeping in traffic mode; `None` otherwise.
     pub fn request_stats(&self) -> Option<&RequestStats> {
-        self.traffic.as_ref().map(|t| t.driver.stats())
+        self.traffic_driver().map(TrafficDriver::stats)
     }
 
     /// Retired job records in scheduler mode (empty in pinned mode).
     pub fn job_records(&self) -> &[JobRecord] {
-        self.sched
-            .as_ref()
-            .map(|s| s.scheduler.records())
-            .unwrap_or(&[])
+        self.scheduler().map_or(&[], JobScheduler::records)
     }
 
     /// True when the scheduler has no arrivals, queued, or running jobs
     /// left (always false in pinned mode).
     pub fn scheduler_drained(&self) -> bool {
-        self.sched
-            .as_ref()
-            .is_some_and(|s| s.scheduler.is_drained())
+        self.scheduler().is_some_and(JobScheduler::is_drained)
     }
 
     /// The framed control plane, when one is running
@@ -898,7 +1321,7 @@ impl ClusterSim {
     /// The manager's shard tree (`None` for flat managers) — lets
     /// differential harnesses assert the per-level budget invariant
     /// against [`ClusterSim::caps`] from outside the simulator.
-    pub fn shard_view(&self) -> Option<&[dps_core::manager::ShardSpan]> {
+    pub fn shard_view(&self) -> Option<&[ShardSpan]> {
         self.manager.shard_view()
     }
 
@@ -975,228 +1398,35 @@ impl ClusterSim {
         Ok(())
     }
 
-    /// Start-of-cycle scheduler phase: evict walltime overruns, admit due
-    /// arrivals, realise newly started jobs on their sockets, and report
-    /// occupancy flips to the manager (before it assigns caps).
-    fn sched_begin(&mut self, st: &mut SchedState) {
-        let now = self.clock.now();
-        let mut membership_dirty = false;
-
-        if st.enforce_walltime {
-            for id in st.scheduler.overrunning(now) {
-                st.scheduler.evict(id, now);
-                if let Some(pos) = st.jobs.iter().position(|j| j.id == id) {
-                    for &u in &st.jobs[pos].units {
-                        st.occupied[u] = false;
-                    }
-                    st.jobs.swap_remove(pos);
-                    membership_dirty = true;
-                }
-            }
-        }
-
-        let tdp = self.config.domain_spec.tdp;
-        let spk = self.config.topology.sockets_per_node;
-        for started in st.scheduler.tick(now) {
-            // Each job gets its own program realisation (run-to-run
-            // variance) and per-socket variants, all derived from the
-            // job id so every manager sees the identical workload.
-            let mut job_rng = st.job_rng.child(&format!("job{}", started.id));
-            let seed = job_rng.next_u64();
-            let base = dps_workloads::build_program(&started.spec, &self.config.perf, seed);
-            let units: Vec<usize> = started
-                .nodes
-                .iter()
-                .flat_map(|&node| node * spk..(node + 1) * spk)
-                .collect();
-            let socket_programs: Vec<DemandProgram> = (0..units.len())
-                .map(|s| dps_workloads::generator::socket_variant(&base, tdp, s, &job_rng))
-                .collect();
-            for &u in &units {
-                st.occupied[u] = true;
-            }
-            membership_dirty = true;
-            st.jobs.push(ActiveJob {
-                id: started.id,
-                run: RunningWorkload::once(base, self.config.perf),
-                socket_programs,
-                units,
-            });
-        }
-
-        if membership_dirty {
-            self.manager.observe_membership(&st.occupied);
-        }
-    }
-
-    /// Start-of-cycle traffic phase: the provisioner (re)sizes the powered
-    /// fleet from last window's evidence and the generator contributes this
-    /// window's arrivals. Node flips expand to unit occupancy and reach the
-    /// manager (before it assigns caps), and each provisioning decision is
-    /// emitted as an [`Event::Provision`].
-    fn traffic_begin(&mut self, st: &mut TrafficState) {
-        let now = self.clock.now();
-        let spk = self.config.topology.sockets_per_node;
-        let cycle = self.clock.timestep();
-        let tracing = self.sink.enabled();
-        let mut dirty = false;
-
-        // Idle pre-phase: sleeping units deepen along their compiled
-        // schedules, and wakes begun in earlier cycles complete — those
-        // units rejoin the serving fleet this cycle.
-        if let Some(fleet) = st.fleet.as_mut() {
-            st.demotions.clear();
-            fleet.advance(now, &mut st.demotions);
-            if tracing {
-                for d in &st.demotions {
-                    self.sink.emit(Event::SleepTransition {
-                        cycle,
-                        unit: d.unit as u32,
-                        from_state: d.from,
-                        to_state: d.to,
-                    });
-                }
-            }
-            st.wakes.clear();
-            fleet.tick_wakes(self.config.period, &mut st.wakes);
-            for w in &st.wakes {
-                st.occupied[w.unit] = true;
-                dirty = true;
-                if tracing {
-                    self.sink.emit(Event::WakeDone {
-                        cycle,
-                        unit: w.unit as u32,
-                        state: w.state,
-                        energy_j: w.energy_j,
-                    });
-                    self.sink.emit(Event::PredictorSample {
-                        cycle,
-                        unit: w.unit as u32,
-                        predicted_s: w.predicted_s,
-                        actual_s: w.actual_s,
-                    });
-                }
-            }
-        }
-
-        let begin = st.driver.begin_cycle(now, self.config.period);
-        if begin.changes.is_empty() && !dirty {
-            return;
-        }
-        for change in &begin.changes {
-            for &node in &change.nodes {
-                for u in node * spk..(node + 1) * spk {
-                    match (st.fleet.as_mut(), change.power_on) {
-                        // Sleep-managed power-on: begin the wake; the unit
-                        // stays out of the serving fleet until the state's
-                        // latency elapses (see the pre-phase above).
-                        (Some(fleet), true) => {
-                            if let Some(w) = fleet.begin_wake(u, now) {
-                                if tracing {
-                                    self.sink.emit(Event::WakeStart {
-                                        cycle,
-                                        unit: u as u32,
-                                        state: w.state,
-                                        latency_s: w.latency_s,
-                                    });
-                                }
-                            }
-                        }
-                        // Sleep-managed power-off: demote onto the ladder
-                        // instead of hard-off (a mid-wake unit is
-                        // re-demoted — provisioner flapping).
-                        (Some(fleet), false) => {
-                            st.occupied[u] = false;
-                            if let Some(d) = fleet.demote(u, now) {
-                                if tracing {
-                                    self.sink.emit(Event::SleepTransition {
-                                        cycle,
-                                        unit: u as u32,
-                                        from_state: d.from,
-                                        to_state: d.to,
-                                    });
-                                }
-                            }
-                        }
-                        (None, on) => st.occupied[u] = on,
-                    }
-                }
-            }
-            dirty = true;
-            if tracing {
-                self.sink.emit(Event::Provision {
-                    cycle,
-                    kind: if change.power_on {
-                        ProvisionKind::PowerOn
-                    } else {
-                        ProvisionKind::PowerOff
-                    },
-                    nodes: change.nodes.len() as u32,
-                    active_nodes: change.active_after as u32,
-                    utilization: change.utilization,
-                });
-            }
-        }
-        if dirty {
-            self.manager.observe_membership(&st.occupied);
-        }
-    }
-
-    /// Runs one decision cycle.
+    /// Runs one decision cycle, stage by stage (see the module docs).
     pub fn cycle(&mut self) {
-        let topo = self.config.topology;
         let period = self.config.period;
-        let idle = self.config.domain_spec.idle_power;
-
         let tracing = self.sink.enabled();
-        let timing = tracing && self.sink.timing();
-        let t_cycle = timing.then(std::time::Instant::now);
+        let t_cycle = (tracing && self.sink.timing()).then(std::time::Instant::now);
         let cycle = self.clock.timestep();
+        let now = self.clock.now();
+
+        // Trace open: the envelope, scripted fault windows opening or
+        // closing at this timestep, and the caps entering the cycle (for
+        // the `caps_changed` churn count).
         if tracing {
-            self.sink.emit(Event::CycleStart {
-                cycle,
-                time_s: self.clock.now(),
-            });
-            // Scripted fault windows opening or closing at this timestep.
+            self.sink.emit(Event::CycleStart { cycle, time_s: now });
             if !self.config.sensor_faults.is_empty() {
-                let now = self.clock.now();
-                for u in 0..self.fault_sensor.len() {
-                    let (s, a) = self.config.sensor_faults.active_kinds(u, now);
-                    if s != self.fault_sensor[u] {
-                        self.fault_sensor[u] = s;
-                        self.sink.emit(Event::FaultEdge {
-                            cycle,
-                            unit: u as u32,
-                            domain: FaultDomain::Sensor,
-                            active: s,
-                        });
-                    }
-                    if a != self.fault_actuator[u] {
-                        self.fault_actuator[u] = a;
-                        self.sink.emit(Event::FaultEdge {
-                            cycle,
-                            unit: u as u32,
-                            domain: FaultDomain::Actuator,
-                            active: a,
-                        });
-                    }
-                }
+                self.sample_faults(Some(cycle));
             }
-            // Caps entering the cycle, for the `caps_changed` churn count.
             self.trace_caps.clear();
             self.trace_caps.extend_from_slice(&self.caps);
         }
 
-        // (0a) Effective budget for this cycle: base × schedule × chaos.
-        // Changes are pushed to the manager (one-cycle compliance
-        // contract, see `PowerManager::set_budget`) and the framed
-        // controller before any caps are assigned.
+        // Budget: base × schedule × chaos. Changes are pushed to the
+        // manager (one-cycle compliance contract, see
+        // `PowerManager::set_budget`) and the framed controller before any
+        // caps are assigned.
         if !(self.config.budget.is_constant() && self.config.chaos.is_empty()) {
-            let now = self.clock.now();
-            let target = self.base_budget
+            let target = self.config.total_budget()
                 * self.config.budget.factor_at(now)
                 * self.config.chaos.budget_factor_at(now);
-            if (target - self.current_budget).abs() > dps_core::budget::BUDGET_EPSILON {
+            if (target - self.current_budget).abs() > BUDGET_EPSILON {
                 self.manager
                     .set_budget(target)
                     .expect("scheduled budget was validated at construction");
@@ -1214,9 +1444,8 @@ impl ClusterSim {
             }
         }
 
-        // (0b) Operating mode for this cycle, stepped on the previous
-        // cycle's confidence report (immediate descent, hysteretic
-        // re-ascent; see `dps_core::mode`).
+        // Mode, stepped on the previous cycle's confidence report
+        // (immediate descent, hysteretic re-ascent; see `dps_core::mode`).
         if let Some((from, to)) = self.mode_machine.step(&self.confidence) {
             if tracing {
                 self.sink.emit(Event::ModeChange {
@@ -1228,93 +1457,27 @@ impl ClusterSim {
         }
         let mode = self.mode_machine.mode();
 
-        // (0c) Chaos node churn: units on powered-down racks leave managed
-        // membership (and demand nothing below); they rejoin when the
-        // window closes.
-        if self.config.chaos.has_churn() {
-            let now = self.clock.now();
-            let mut dirty = false;
-            for u in 0..self.chaos_down.len() {
-                let down = self.config.chaos.unit_down(&topo, u, now);
-                if down != self.chaos_down[u] {
-                    self.chaos_down[u] = down;
-                    dirty = true;
-                }
-            }
-            if dirty {
-                for u in 0..self.membership.len() {
-                    self.membership[u] = !self.chaos_down[u];
-                }
-                self.manager.observe_membership(&self.membership);
-            }
-        }
+        // Workload begin and demands.
+        let at = Stage {
+            config: &self.config,
+            now,
+            cycle,
+            sink: &self.sink,
+        };
+        self.workload.begin(&at, self.manager.as_mut());
+        self.workload.demands(&at, &mut self.demands);
 
-        // (0) Scheduler/traffic phase (those modes only). Taken out of
-        // `self` for the duration of the cycle to keep the borrows disjoint.
-        let mut sched = self.sched.take();
-        if let Some(st) = sched.as_mut() {
-            self.sched_begin(st);
-        }
-        let mut traffic = self.traffic.take();
-        if let Some(st) = traffic.as_mut() {
-            self.traffic_begin(st);
-        }
-
-        // (1) Demands from job positions.
-        if let Some(st) = traffic.as_ref() {
-            // Traffic mode: every powered socket runs its serving loop at
-            // the fraction of its capacity the request backlog can fill,
-            // but never below the service's resident footprint — a powered
-            // socket is not energy-proportional. Dark nodes demand nothing.
-            let busy = st.driver.busy_fraction(period);
-            let floor = st.driver.config().service_floor;
-            for u in 0..self.demands.len() {
-                self.demands[u] = if st.occupied[u] {
-                    (busy * st.sockets[u].demand()).max(floor)
-                } else {
-                    0.0
-                };
-            }
-        } else if let Some(st) = sched.as_ref() {
-            // Scheduler mode: unoccupied sockets demand nothing.
-            self.demands.fill(0.0);
-            for job in &st.jobs {
-                if job.run.demand() > 0.0 {
-                    let pos = job.run.position();
-                    for (k, &u) in job.units.iter().enumerate() {
-                        self.demands[u] = job.socket_programs[k].demand_at(pos);
-                    }
-                }
-            }
-        } else {
-            for (c, job) in self.jobs.iter().enumerate() {
-                let active = job.run.demand() > 0.0;
-                let pos = job.run.position();
-                let range = topo.cluster_range(c);
-                for (s, u) in range.enumerate() {
-                    self.demands[u] = if active {
-                        job.socket_programs[s].demand_at(pos)
-                    } else {
-                        0.0
-                    };
-                }
-            }
-        }
-        if self.config.chaos.has_churn() {
-            for u in 0..self.demands.len() {
-                if self.chaos_down[u] {
-                    self.demands[u] = 0.0;
-                }
-            }
-        }
-
-        // (2) Domains deliver power for this window.
+        // Plant: the domains deliver power for this window.
         self.bank
             .step_all_into(&self.demands, period, &mut self.true_power);
 
-        // (3)–(5) Measurements travel to the manager and caps travel back,
-        // through whichever control plane the config selects.
-        let quantized = self.config.control_plane == ControlPlaneMode::Quantized;
+        // Exchange: measurements travel to the manager and caps travel
+        // back, through whichever control plane the config selects.
+        let uniform = constant_cap(self.current_budget, self.caps.len(), self.limits);
+        for u in 0..self.measured.len() {
+            self.measured[u] = self.bank.read_power(u);
+        }
+        self.manager.observe_demands(&self.demands);
         if mode != OperatingMode::Normal {
             // Degraded/SafeMode: node-local failsafe. The framed plane (if
             // any) is bypassed — a degraded controller has stopped
@@ -1327,26 +1490,16 @@ impl ClusterSim {
             // (re-squeezed if a shock shrank the budget under them);
             // `SafeMode` applies the telemetry-blind uniform split that
             // satisfies the budget with zero sensor trust.
-            for u in 0..self.measured.len() {
-                self.measured[u] = self.bank.read_power(u);
-            }
-            self.manager.observe_demands(&self.demands);
             self.shadow_caps.copy_from_slice(&self.caps);
             self.manager
                 .assign_caps(&self.measured, &mut self.shadow_caps, period);
-            let limits = dps_core::manager::UnitLimits {
-                min_cap: self.config.domain_spec.min_cap,
-                max_cap: self.config.domain_spec.tdp,
-            };
             if mode == OperatingMode::SafeMode {
-                let uniform =
-                    dps_core::manager::constant_cap(self.current_budget, self.caps.len(), limits);
                 self.caps.fill(uniform);
             } else {
                 self.caps.copy_from_slice(&self.last_good);
                 let sum: f64 = self.caps.iter().sum();
-                if sum > self.current_budget + dps_core::budget::BUDGET_EPSILON {
-                    dps_core::budget::enforce_budget(&mut self.caps, self.current_budget, limits);
+                if sum > self.current_budget + BUDGET_EPSILON {
+                    enforce_budget(&mut self.caps, self.current_budget, self.limits);
                 }
             }
             for (u, &cap) in self.caps.iter().enumerate() {
@@ -1356,12 +1509,8 @@ impl ClusterSim {
             // Framed: raw readings go to the node agents; the manager sees
             // the controller's hold-last telemetry, and the domains get
             // whatever caps the agents actually acknowledged.
-            for u in 0..self.measured.len() {
-                self.measured[u] = self.bank.read_power(u);
-            }
-            self.manager.observe_demands(&self.demands);
             plane.run_cycle(
-                self.clock.now(),
+                now,
                 period,
                 &self.measured,
                 self.manager.as_mut(),
@@ -1374,26 +1523,18 @@ impl ClusterSim {
         } else {
             // Direct/quantized: instantaneous exchange, optionally
             // round-tripped through the 3-byte wire frames.
-            for u in 0..self.measured.len() {
-                let reading = self.bank.read_power(u);
-                self.measured[u] = if quantized {
-                    let frame = crate::protocol::Frame::power_report(reading);
-                    crate::protocol::Frame::decode(frame.encode())
-                        .expect("own frame decodes")
-                        .watts()
-                } else {
-                    reading
-                };
+            let quantized = self.config.control_plane == ControlPlaneMode::Quantized;
+            let wire = |frame: Frame| Frame::decode(frame.encode()).expect("own frame decodes");
+            if quantized {
+                for reading in &mut self.measured {
+                    *reading = wire(Frame::power_report(*reading)).watts();
+                }
             }
-            self.manager.observe_demands(&self.demands);
             self.manager
                 .assign_caps(&self.measured, &mut self.caps, period);
             for (u, &cap) in self.caps.iter().enumerate() {
                 let cap = if quantized {
-                    let frame = crate::protocol::Frame::set_cap(cap);
-                    crate::protocol::Frame::decode(frame.encode())
-                        .expect("own frame decodes")
-                        .watts()
+                    wire(Frame::set_cap(cap)).watts()
                 } else {
                     cap
                 };
@@ -1401,13 +1542,13 @@ impl ClusterSim {
             }
         }
 
-        // (5b) Write verification: read the programmed caps back from the
-        // hardware and hand them to the manager. A telemetry-guarded
-        // manager compares them against its requests to catch silently
-        // dropped, clamped or delayed cap writes; other managers ignore
-        // the call (default no-op). Skipped in degraded modes, where the
-        // hardware deliberately holds caps the manager did not request —
-        // feeding those back would poison write verification.
+        // Readback: read the programmed caps back from the hardware and
+        // hand them to the manager. A telemetry-guarded manager compares
+        // them against its requests to catch silently dropped, clamped or
+        // delayed cap writes; other managers ignore the call (default
+        // no-op). Skipped in degraded modes, where the hardware
+        // deliberately holds caps the manager did not request — feeding
+        // those back would poison write verification.
         for u in 0..self.applied.len() {
             self.applied[u] = self.bank.domain(u).cap();
         }
@@ -1415,190 +1556,57 @@ impl ClusterSim {
             self.manager.observe_applied(&self.applied);
         }
 
-        // Always-on safety monitor: re-derive the budget and cap
-        // invariants from ground truth, chaos or not. The near-miss flag
-        // feeds the mode ladder below.
-        let near_miss = {
-            let limits = dps_core::manager::UnitLimits {
-                min_cap: self.config.domain_spec.min_cap,
-                max_cap: self.config.domain_spec.tdp,
-            };
-            let fallback =
-                dps_core::manager::constant_cap(self.current_budget, self.caps.len(), limits);
-            let inputs = InvariantInputs {
-                cycle,
-                budget: self.current_budget,
-                requested: &self.caps,
-                applied: &self.applied,
-                limits,
-                mode,
-                health: self.manager.health(),
-                fallback_cap: fallback,
-                shards: self.manager.shard_view(),
-            };
-            self.monitor.check(&inputs, &self.sink)
+        // Monitor: re-derive the budget and cap invariants from ground
+        // truth, chaos or not. The near-miss flag feeds the mode ladder.
+        let inputs = InvariantInputs {
+            cycle,
+            budget: self.current_budget,
+            requested: &self.caps,
+            applied: &self.applied,
+            limits: self.limits,
+            mode,
+            health: self.manager.health(),
+            fallback_cap: uniform,
+            shards: self.manager.shard_view(),
         };
+        let near_miss = self.monitor.check(&inputs, &self.sink);
 
-        // Frame accounting for this cycle (framed mode only): deltas of the
-        // cumulative control-plane counters, emitted only on activity.
-        if tracing {
-            if let Some(stats) = self.plane.as_ref().map(|p| p.stats()) {
-                let sent = stats.frames_sent - self.prev_ctrl.frames_sent;
-                let delivered = stats.frames_delivered - self.prev_ctrl.frames_delivered;
-                let lost = (stats.frames_dropped + stats.frames_blocked + stats.frames_corrupted)
-                    - (self.prev_ctrl.frames_dropped
-                        + self.prev_ctrl.frames_blocked
-                        + self.prev_ctrl.frames_corrupted);
-                let retries = stats.retries - self.prev_ctrl.retries;
-                if sent | delivered | lost | retries != 0 {
-                    self.sink.emit(Event::ControlPlaneDelta {
-                        cycle,
-                        sent,
-                        delivered,
-                        dropped: lost,
-                        retries,
-                    });
-                }
-                self.prev_ctrl = stats;
+        // Control-plane delta: frame accounting for this cycle (framed
+        // mode only), emitted only on activity.
+        if let (true, Some(plane)) = (tracing, self.plane.as_ref()) {
+            let (stats, prev) = (plane.stats(), &self.prev_ctrl);
+            let lost = |s: &CtrlStats| s.frames_dropped + s.frames_blocked + s.frames_corrupted;
+            let sent = stats.frames_sent - prev.frames_sent;
+            let delivered = stats.frames_delivered - prev.frames_delivered;
+            let dropped = lost(&stats) - lost(prev);
+            let retries = stats.retries - prev.retries;
+            if sent | delivered | dropped | retries != 0 {
+                self.sink.emit(Event::ControlPlaneDelta {
+                    cycle,
+                    sent,
+                    delivered,
+                    dropped,
+                    retries,
+                });
+            }
+            self.prev_ctrl = stats;
+        }
+
+        // Workload advance.
+        let (queue_depth, events) =
+            self.workload
+                .advance(&at, &self.demands, &self.true_power, self.manager.as_mut());
+
+        // Satisfaction (units outside membership demand 0 and count as
+        // satisfied, same as a pinned workload's gap).
+        let idle = self.config.domain_spec.idle_power;
+        for (c, tracker) in self.satisfaction.iter_mut().enumerate() {
+            for u in self.config.topology.cluster_range(c) {
+                tracker.record(self.demands[u], self.true_power[u], idle);
             }
         }
 
-        // (6) Jobs advance at the pace of their slowest socket: Spark
-        // stages and NPB iterations are barrier-synchronised, so a single
-        // starved socket stalls the whole job. This is the straggler effect
-        // the paper's readjusting module explicitly repairs ("fix any major
-        // unfairness due to the Stateless Module's random ordering",
-        // §4.3.4).
-        if let Some(st) = traffic.as_mut() {
-            // Traffic mode: serving sockets are independent (no barrier —
-            // each request runs on one socket), so each loop advances at
-            // its own achieved rate. The summed rates set how many queued
-            // requests drain this window, and only powered sockets charge
-            // energy to the request bill (a powered-off node draws
-            // nothing as far as the service is concerned).
-            let mut speed_sum = 0.0;
-            let mut joules = 0.0;
-            for u in 0..self.demands.len() {
-                if st.occupied[u] {
-                    let rate = self.config.perf.rate(self.demands[u], self.true_power[u]);
-                    speed_sum += rate;
-                    joules += self.true_power[u] * period;
-                    st.sockets[u].advance_with_rate(rate, period);
-                }
-            }
-            // Sleep-managed fleets are not free when dark: residency power
-            // accrues every window and each begun wake charges its one-shot
-            // energy, all billed to the same request-energy ledger.
-            if let Some(fleet) = st.fleet.as_mut() {
-                joules += fleet.sleep_power_w() * period + fleet.drain_wake_energy();
-            }
-            let end = st
-                .driver
-                .end_cycle(self.clock.now(), period, speed_sum, joules);
-            if tracing {
-                if let Some(m) = end.milestone {
-                    self.sink.emit(Event::RequestMilestone {
-                        cycle,
-                        served: m.served,
-                        slo_ok: m.slo_ok,
-                        backlog: m.backlog,
-                    });
-                }
-            }
-
-            // (7) Satisfaction accounting (dark sockets demand 0 and are
-            // counted as satisfied, same as a pinned workload's gap).
-            for c in 0..topo.clusters {
-                for u in topo.cluster_range(c) {
-                    self.satisfaction[c].record(self.demands[u], self.true_power[u], idle);
-                }
-            }
-        } else if let Some(st) = sched.as_mut() {
-            // Scheduler mode: the same barrier rule per scheduled job, over
-            // its allocated sockets. Completions retire through the queue
-            // (freeing nodes and power reservation) and flip occupancy.
-            let end = self.clock.now() + period;
-            let mut membership_dirty = false;
-            let mut i = 0;
-            while i < st.jobs.len() {
-                let job = &mut st.jobs[i];
-                if job.run.demand() > 0.0 {
-                    let mut rate: f64 = 1.0;
-                    for &u in &job.units {
-                        rate = rate.min(self.config.perf.rate(self.demands[u], self.true_power[u]));
-                    }
-                    job.run.advance_with_rate(rate, period);
-                } else {
-                    job.run.advance_with_rate(1.0, period);
-                }
-                if job.run.is_done() {
-                    st.scheduler.finish(job.id, end);
-                    for &u in &st.jobs[i].units {
-                        st.occupied[u] = false;
-                    }
-                    st.jobs.swap_remove(i);
-                    membership_dirty = true;
-                } else {
-                    i += 1;
-                }
-            }
-            if membership_dirty {
-                self.manager.observe_membership(&st.occupied);
-            }
-
-            // (7) Satisfaction accounting (idle sockets demand 0 and are
-            // counted as satisfied, same as a pinned workload's gap).
-            for c in 0..topo.clusters {
-                for u in topo.cluster_range(c) {
-                    self.satisfaction[c].record(self.demands[u], self.true_power[u], idle);
-                }
-            }
-        } else {
-            for (c, job) in self.jobs.iter_mut().enumerate() {
-                let range = topo.cluster_range(c);
-                let active = job.run.demand() > 0.0;
-                if active {
-                    let mut rate: f64 = 1.0;
-                    for u in range.clone() {
-                        rate = rate.min(self.config.perf.rate(self.demands[u], self.true_power[u]));
-                    }
-                    job.run.advance_with_rate(rate, period);
-                } else {
-                    // Gap or pre-start: rate is irrelevant, time still passes.
-                    job.run.advance_with_rate(1.0, period);
-                }
-
-                // (7) Satisfaction accounting.
-                for u in range {
-                    self.satisfaction[c].record(self.demands[u], self.true_power[u], idle);
-                }
-            }
-        }
-
-        // (8) Per-run realisation swap: a completed run's successor gets a
-        // freshly generated program (and socket variants) at the run
-        // boundary.
-        let tdp = self.config.domain_spec.tdp;
-        let per_cluster = topo.units_per_cluster();
-        for job in &mut self.jobs {
-            if let Some(factory) = job.factory.as_mut() {
-                let completed = job.run.runs_completed();
-                if completed > job.realized_run && job.run.position() == 0.0 {
-                    let base = factory(completed);
-                    let run_rng = job.variant_rng.child(&format!("run{completed}"));
-                    job.socket_programs = make_variants(&base, tdp, per_cluster, &run_rng);
-                    job.run.replace_program(base);
-                    job.realized_run = completed;
-                }
-            }
-        }
-
-        // Scheduler events are drained every cycle even when logging is
-        // off, so an unlogged run cannot accumulate them unboundedly.
-        let (queue_depth, events) = match sched.as_mut() {
-            Some(st) => (st.scheduler.queue_depth(), st.scheduler.take_events()),
-            None => (0, Vec::new()),
-        };
+        // Log.
         if tracing {
             for ev in &events {
                 self.sink.emit(ev.to_trace(cycle));
@@ -1606,7 +1614,7 @@ impl ClusterSim {
         }
         if self.log.is_enabled() {
             self.log.push(CycleRecord {
-                time: self.clock.now(),
+                time: now,
                 power: self.measured.clone(),
                 caps: self.caps.clone(),
                 demand: self.demands.clone(),
@@ -1620,27 +1628,26 @@ impl ClusterSim {
             });
         }
 
-        // (9) Watchdog: periodically snapshot the manager so a crashed
+        // Watchdog: periodically snapshot the manager so a crashed
         // controller can be restored (see `crash_and_restore`).
-        if let Some(every) = self.watchdog_every {
-            if (self.clock.timestep() + 1).is_multiple_of(every) {
-                // Reuse the previous snapshot's allocation; a manager without
-                // checkpoint support leaves the old snapshot (if any) in place.
-                let mut buf = self.last_checkpoint.take().unwrap_or_default();
-                if self.manager.checkpoint_into(&mut buf) {
-                    if tracing {
-                        self.sink.emit(Event::CheckpointTaken {
-                            cycle,
-                            bytes: buf.len() as u64,
-                        });
-                    }
-                    self.last_checkpoint = Some(buf);
-                } else if !buf.is_empty() {
-                    self.last_checkpoint = Some(buf);
-                }
+        if self
+            .watchdog_every
+            .is_some_and(|every| (cycle + 1).is_multiple_of(every))
+        {
+            // Reuse the previous snapshot's allocation; a manager without
+            // checkpoint support leaves the old snapshot (if any) in place.
+            let mut buf = self.last_checkpoint.take().unwrap_or_default();
+            let taken = self.manager.checkpoint_into(&mut buf);
+            if taken && tracing {
+                let bytes = buf.len() as u64;
+                self.sink.emit(Event::CheckpointTaken { cycle, bytes });
+            }
+            if taken || !buf.is_empty() {
+                self.last_checkpoint = Some(buf);
             }
         }
 
+        // Trace close.
         if tracing {
             let slack = self.manager.total_budget() - self.caps.iter().sum::<f64>();
             let caps_changed = self
@@ -1655,7 +1662,7 @@ impl ClusterSim {
                 caps_changed,
                 queue_depth: queue_depth as u32,
             });
-            if let (true, Some(t0)) = (timing, t_cycle) {
+            if let Some(t0) = t_cycle {
                 self.sink.emit(Event::PhaseEnd {
                     cycle,
                     phase: PhaseKind::SimCycle,
@@ -1664,9 +1671,10 @@ impl ClusterSim {
             }
         }
 
-        // Mode-ladder inputs for the next cycle, from this cycle's ground
-        // truth: the guard's isolation fraction, the control plane's
-        // gather-miss rate, and the monitor's near-miss flag.
+        // Confidence: the mode ladder's inputs for the next cycle, from
+        // this cycle's ground truth — the guard's isolation fraction, the
+        // control plane's gather-miss rate, and the monitor's near-miss
+        // flag.
         if mode == OperatingMode::Normal {
             self.last_good.copy_from_slice(&self.caps);
         }
@@ -1692,8 +1700,6 @@ impl ClusterSim {
             near_miss,
         };
 
-        self.sched = sched;
-        self.traffic = traffic;
         self.clock.advance();
     }
 
@@ -1936,6 +1942,27 @@ mod tests {
         let mgr = constant_mgr(&cfg);
         let rng = RngStream::new(9, "sim-test");
         ClusterSim::new(cfg, vec![flat(10.0, 100.0)], mgr, &rng);
+    }
+
+    #[test]
+    #[should_panic(expected = "build scheduler mode with ClusterSim::with_scheduler")]
+    fn pinned_constructor_rejects_a_scheduler_config() {
+        let mut cfg = small_config();
+        cfg.scheduler = Some(SchedConfig::default_poisson(2, 50.0));
+        let mgr = constant_mgr(&cfg);
+        let rng = RngStream::new(10, "sim-test");
+        ClusterSim::new(cfg, vec![flat(10.0, 100.0), flat(10.0, 100.0)], mgr, &rng);
+    }
+
+    #[test]
+    #[should_panic(expected = "build traffic mode with ClusterSim::with_traffic")]
+    fn pinned_constructor_rejects_a_traffic_config() {
+        let mut cfg = small_config();
+        cfg.traffic = Some(TrafficConfig::default_diurnal(4, 100.0));
+        let mgr = constant_mgr(&cfg);
+        let rng = RngStream::new(11, "sim-test");
+        let factory = || -> ProgramFactory { Box::new(|_| flat(10.0, 100.0)) };
+        ClusterSim::with_factories(cfg, vec![factory(), factory()], mgr, &rng);
     }
 
     // ---- sensor/actuator fault + guard + watchdog wiring ----

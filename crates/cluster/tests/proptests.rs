@@ -1,7 +1,7 @@
-//! Property tests for the cluster crate's protocol and accounting types.
+//! Property tests for the wire frames and the cluster crate's accounting types.
 
-use dps_cluster::protocol::{watts_to_wire, Frame, LatencyLink};
 use dps_cluster::{ControlPlaneModel, SatisfactionTracker};
+use dps_ctrl::frame::{watts_to_wire, Frame, LatencyLink};
 use proptest::prelude::*;
 
 proptest! {

@@ -38,8 +38,7 @@ struct BenchConfig {
 #[derive(Clone, Copy)]
 enum Load {
     /// Every unit ramps 40→160 W over 20 cycles with a per-unit phase
-    /// offset — the fastest churn the paper's workloads show, and the same
-    /// signal the `dps-bench` Criterion harness drives.
+    /// offset — the fastest churn the paper's workloads show.
     Sawtooth,
     /// Long alternating low/high phases (hundreds of cycles, desynchronized
     /// across units) — the phase structure of real HPC workloads, and the

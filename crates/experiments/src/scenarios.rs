@@ -19,6 +19,7 @@
 //! * ring capacity is sized so no scenario ever drops an event — a change
 //!   that suddenly overflows the ring is itself a regression worth seeing.
 
+use dps_cluster::sim::ProgramFactory;
 use dps_cluster::{BudgetSchedule, ChaosSchedule, ChaosWindow, ClusterSim, SimConfig};
 use dps_core::manager::{PowerManager, UnitLimits};
 use dps_core::{DpsConfig, DpsManager, GuardConfig, ShardedManager};
@@ -81,11 +82,18 @@ pub enum GoldenScenario {
     /// from a multi-shard tree, and the invariant monitor's per-level
     /// tree checks (silent, as everywhere).
     ShardedElastic,
+    /// Pinned pair with per-run realisations under chaos node churn:
+    /// guarded DPS while a chaos window powers one rack down and back up,
+    /// and each cluster's program is regenerated at every run boundary
+    /// (`ClusterSim::with_factories`). Exercises the realisation swap,
+    /// churn-driven membership flips in both directions, and the budget
+    /// reallocation around the dark rack.
+    ChaosChurn,
 }
 
 impl GoldenScenario {
     /// Every scenario, in golden-file order.
-    pub const ALL: [GoldenScenario; 7] = [
+    pub const ALL: [GoldenScenario; 8] = [
         GoldenScenario::PaperDefault,
         GoldenScenario::SensorFault,
         GoldenScenario::SchedulerChurn,
@@ -93,6 +101,7 @@ impl GoldenScenario {
         GoldenScenario::IdleElastic,
         GoldenScenario::ChaosBrownout,
         GoldenScenario::ShardedElastic,
+        GoldenScenario::ChaosChurn,
     ];
 
     /// Stable scenario name (also the golden file stem).
@@ -105,6 +114,7 @@ impl GoldenScenario {
             GoldenScenario::IdleElastic => "idle_elastic",
             GoldenScenario::ChaosBrownout => "chaos_brownout",
             GoldenScenario::ShardedElastic => "sharded_elastic",
+            GoldenScenario::ChaosChurn => "chaos_churn",
         }
     }
 
@@ -167,6 +177,7 @@ impl GoldenScenario {
             GoldenScenario::IdleElastic => drive_idle_elastic(dps, sink, flavor),
             GoldenScenario::ChaosBrownout => drive_chaos_brownout(dps, sink, flavor),
             GoldenScenario::ShardedElastic => drive_sharded_elastic(dps, sink),
+            GoldenScenario::ChaosChurn => drive_chaos_churn(dps, sink, flavor),
         }
     }
 }
@@ -540,6 +551,32 @@ fn drive_chaos_brownout(dps: DpsConfig, sink: &SinkHandle, flavor: ManagerFlavor
     let mut sim = ClusterSim::new(cfg, vec![hot, busy], manager, &rng);
     sim.enable_watchdog(16);
     run_with(sim, 160, sink)
+}
+
+fn drive_chaos_churn(dps: DpsConfig, sink: &SinkHandle, flavor: ManagerFlavor) {
+    // Guarded DPS over a pinned pair whose programs regenerate every run,
+    // while rack 1 is powered down for 30 s. The default 10 s idle gap is
+    // longer than the 1 s period, so every realisation swap lands on an
+    // observable run boundary; each run is longer and hotter than the last,
+    // so a missed or misplaced swap changes the trace. The churn window
+    // covers 30 of the 150 cycles: membership flips out and back, and the
+    // returning units re-enter with fresh manager state.
+    let mut cfg = small_testbed();
+    cfg.noise = NoiseModel::None;
+    cfg.chaos = ChaosSchedule::new(vec![ChaosWindow::new(1, 35.0, 65.0).with_churn()]);
+    let rng = RngStream::new(0xD50_008, "golden/chaos-churn");
+    let factory = |base_w: f64| -> ProgramFactory {
+        Box::new(move |run| {
+            let step = run as f64;
+            DemandProgram::new(vec![
+                Phase::ramp(5.0, 50.0, base_w + 5.0 * step),
+                Phase::constant(20.0 + 4.0 * step, base_w + 5.0 * step),
+            ])
+        })
+    };
+    let manager = guarded_dps(&cfg, dps, &rng, flavor);
+    let sim = ClusterSim::with_factories(cfg, vec![factory(145.0), factory(120.0)], manager, &rng);
+    run_with(sim, 150, sink)
 }
 
 #[cfg(test)]

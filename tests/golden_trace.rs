@@ -178,6 +178,25 @@ fn sharded_elastic_matches_golden() {
 }
 
 #[test]
+fn chaos_churn_matches_golden() {
+    let bytes = check_against_golden(GoldenScenario::ChaosChurn);
+    let trace = codec::decode(&bytes).expect("golden trace decodes");
+    let reg = dps_suite::obs::ObsRegistry::from_events(&trace.events);
+    // The churn window must power the rack down and back up through the
+    // manager's membership view, and the budget invariants must hold while
+    // half the fleet is dark.
+    assert!(
+        reg.membership_flips() > 0,
+        "chaos churn never reached the manager"
+    );
+    assert_eq!(
+        reg.invariant_violations(),
+        0,
+        "safety invariants must hold under churn"
+    );
+}
+
+#[test]
 fn recording_twice_is_byte_stable() {
     for scenario in GoldenScenario::ALL {
         let a = scenario.record();
