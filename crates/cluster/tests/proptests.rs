@@ -1,7 +1,9 @@
 //! Property tests for the wire frames and the cluster crate's accounting types.
 
 use dps_cluster::{ControlPlaneModel, SatisfactionTracker};
-use dps_ctrl::frame::{watts_to_wire, Frame, LatencyLink};
+use dps_ctrl::frame::{watts_to_wire, Frame};
+use dps_ctrl::{LinkConfig, LossyLink};
+use dps_sim_core::RngStream;
 use proptest::prelude::*;
 
 proptest! {
@@ -30,35 +32,44 @@ proptest! {
         prop_assert!((roundtrip - watts).abs() <= 0.05 + 1e-9);
     }
 
-    /// A latency link delivers every frame exactly once, in send order,
-    /// never early.
+    /// A clean link (no jitter, no faults) delivers every frame exactly
+    /// once, in send order, never early — at the drawn latency and at
+    /// zero latency, where a frame is due the instant it is sent.
     #[test]
-    fn latency_link_exactly_once_in_order(
+    fn clean_link_exactly_once_in_order(
         latency in 0.0f64..5.0,
         sends in prop::collection::vec(0.0f64..100.0, 1..50),
+        seed in any::<u64>(),
     ) {
         let mut sorted_sends = sends.clone();
         sorted_sends.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        let mut link = LatencyLink::new(latency);
-        for (i, &t) in sorted_sends.iter().enumerate() {
-            link.send(t, i as u32, Frame::power_report(100.0));
-        }
-        // Drain at increasing times; nothing may arrive before its due time.
-        let mut received = Vec::new();
-        let mut now = 0.0;
-        while received.len() < sorted_sends.len() {
-            now += 0.25;
-            for (unit, _) in link.deliver(now) {
-                let sent = sorted_sends[unit as usize];
-                prop_assert!(now + 1e-9 >= sent + latency, "early delivery");
-                received.push(unit);
+        for latency in [latency, 0.0] {
+            let config = LinkConfig {
+                latency,
+                ..LinkConfig::default()
+            };
+            let mut link = LossyLink::new(config, RngStream::new(seed, "clean-link"));
+            for (i, &t) in sorted_sends.iter().enumerate() {
+                link.send(t, i as u32, Frame::power_report(100.0));
             }
-            prop_assert!(now < 200.0, "delivery stalled");
+            // Drain at increasing times; nothing may arrive before its due time.
+            let mut received = Vec::new();
+            let mut now = 0.0;
+            while received.len() < sorted_sends.len() {
+                now += 0.25;
+                while let Some((unit, frame)) = link.pop_due(now) {
+                    let sent = sorted_sends[unit as usize];
+                    prop_assert!(now + 1e-9 >= sent + latency, "early delivery");
+                    prop_assert_eq!(frame, Some(Frame::power_report(100.0)));
+                    received.push(unit);
+                }
+                prop_assert!(now < 200.0, "delivery stalled");
+            }
+            // Exactly once, in order (send times are sorted, same latency).
+            let expected: Vec<u32> = (0..sorted_sends.len() as u32).collect();
+            prop_assert_eq!(received, expected);
+            prop_assert_eq!(link.pending(), 0);
         }
-        // Exactly once, in order (send times are sorted, same latency).
-        let expected: Vec<u32> = (0..sorted_sends.len() as u32).collect();
-        prop_assert_eq!(received, expected);
-        prop_assert_eq!(link.pending(), 0);
     }
 
     /// Satisfaction is scale-invariant: scaling demand and grant together

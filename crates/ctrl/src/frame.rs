@@ -17,7 +17,6 @@
 
 use dps_sim_core::units::{Seconds, Watts};
 use serde::{Deserialize, Serialize};
-use std::collections::VecDeque;
 
 /// Wire resolution: one least-significant unit = 0.1 W.
 pub const DECIWATT: f64 = 0.1;
@@ -29,8 +28,8 @@ pub const DECIWATT: f64 = 0.1;
 /// accumulation. Comparing with an absolute slack of 1e-12 s (one
 /// picosecond, ~9 orders of magnitude below the µs-scale link latencies)
 /// makes delivery insensitive to that rounding without ever reordering
-/// events that are meaningfully apart. Shared by [`LatencyLink`], the lossy
-/// link, and the control plane's deadline checks.
+/// events that are meaningfully apart. Shared by the link
+/// ([`crate::link::LossyLink`]) and the control plane's deadline checks.
 pub const DELIVERY_EPSILON: Seconds = 1e-12;
 
 /// Budget slack introduced by wire quantization, for `n_units` units.
@@ -145,51 +144,6 @@ pub fn watts_to_wire(watts: Watts) -> u16 {
     }
 }
 
-/// A latency-delayed frame queue between one endpoint pair: frames sent at
-/// time `t` become deliverable at `t + latency`, in send order. The
-/// fault-capable generalisation (drops, jitter, reordering, corruption)
-/// is [`crate::link::LossyLink`].
-#[derive(Debug, Clone, Default)]
-pub struct LatencyLink {
-    latency: Seconds,
-    in_flight: VecDeque<(Seconds, u32, Frame)>,
-}
-
-impl LatencyLink {
-    /// Creates a link with one-way `latency` seconds.
-    pub fn new(latency: Seconds) -> Self {
-        assert!(latency >= 0.0, "latency must be non-negative");
-        Self {
-            latency,
-            in_flight: VecDeque::new(),
-        }
-    }
-
-    /// Sends a frame for `unit` at time `now`.
-    pub fn send(&mut self, now: Seconds, unit: u32, frame: Frame) {
-        self.in_flight.push_back((now + self.latency, unit, frame));
-    }
-
-    /// Drains every frame deliverable at or before `now`, in send order.
-    pub fn deliver(&mut self, now: Seconds) -> Vec<(u32, Frame)> {
-        let mut out = Vec::new();
-        while let Some(&(due, unit, frame)) = self.in_flight.front() {
-            if due <= now + DELIVERY_EPSILON {
-                self.in_flight.pop_front();
-                out.push((unit, frame));
-            } else {
-                break;
-            }
-        }
-        out
-    }
-
-    /// Frames currently in flight.
-    pub fn pending(&self) -> usize {
-        self.in_flight.len()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -253,33 +207,5 @@ mod tests {
     fn wire_slack_scales_with_units() {
         assert!(wire_slack(20) < 20.0 * DECIWATT);
         assert!((wire_slack(20) - 1.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn latency_link_delays_delivery() {
-        let mut link = LatencyLink::new(0.5);
-        link.send(0.0, 7, Frame::power_report(100.0));
-        assert!(link.deliver(0.4).is_empty());
-        let delivered = link.deliver(0.5);
-        assert_eq!(delivered.len(), 1);
-        assert_eq!(delivered[0].0, 7);
-        assert_eq!(link.pending(), 0);
-    }
-
-    #[test]
-    fn delivery_preserves_send_order() {
-        let mut link = LatencyLink::new(0.1);
-        for u in 0..10u32 {
-            link.send(0.0, u, Frame::set_cap(u as f64));
-        }
-        let order: Vec<u32> = link.deliver(1.0).iter().map(|(u, _)| *u).collect();
-        assert_eq!(order, (0..10).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn zero_latency_immediate() {
-        let mut link = LatencyLink::new(0.0);
-        link.send(2.0, 1, Frame::set_cap(110.0));
-        assert_eq!(link.deliver(2.0).len(), 1);
     }
 }

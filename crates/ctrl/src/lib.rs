@@ -12,8 +12,9 @@
 //!
 //! Components, bottom-up:
 //!
-//! * [`frame`] — the 3-byte wire protocol and the ideal [`LatencyLink`].
-//! * [`link`] — [`LossyLink`], the faulty transport.
+//! * [`frame`] — the 3-byte wire protocol.
+//! * [`link`] — [`LossyLink`], the transport: ideal with a clean
+//!   [`LinkConfig`], faulty otherwise.
 //! * [`agent`] — [`NodeAgent`], the per-node daemon.
 //! * [`controller`] — [`Controller`], liveness tracking, hold-last
 //!   telemetry and the believed-cap budget-safety invariant.
@@ -40,7 +41,7 @@ pub use agent::NodeAgent;
 pub use config::{FramedConfig, RetryPolicy};
 pub use controller::Controller;
 pub use fault::{FaultEvent, FaultSchedule};
-pub use frame::{watts_to_wire, wire_slack, Frame, LatencyLink, DECIWATT, DELIVERY_EPSILON};
+pub use frame::{watts_to_wire, wire_slack, Frame, DECIWATT, DELIVERY_EPSILON};
 pub use link::{LinkConfig, LinkCounters, LossyLink};
 pub use plane::FramedControlPlane;
 pub use stats::CtrlStats;

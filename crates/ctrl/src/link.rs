@@ -1,13 +1,16 @@
 //! A faulty one-way transport for 3-byte frames.
 //!
-//! [`LossyLink`] generalises [`crate::frame::LatencyLink`]: every frame
-//! still takes a base one-way latency, but the link can additionally drop
-//! it, delay it by a seeded jitter (which reorders frames relative to each
-//! other), duplicate it, or flip bits in its encoded bytes. Frames travel
-//! as raw `[u8; 3]` and are decoded at the receiving end, so corruption
-//! exercises the real `Frame::decode → None` path. All randomness comes
-//! from an [`RngStream`], making every loss pattern bit-reproducible from
-//! the experiment seed.
+//! Every frame on a [`LossyLink`] takes a base one-way latency, and the
+//! link can additionally drop it, delay it by a seeded jitter (which
+//! reorders frames relative to each other), duplicate it, or flip bits in
+//! its encoded bytes. With a clean [`LinkConfig`] (no jitter, no faults)
+//! it is an ideal latency link: every frame arrives exactly once,
+//! `latency` seconds after it was sent, so frames sent in time order
+//! arrive in send order. Frames travel as raw `[u8; 3]` and are decoded
+//! at the receiving end, so corruption exercises the real
+//! `Frame::decode → None` path. All randomness comes from an
+//! [`RngStream`], making every loss pattern bit-reproducible from the
+//! experiment seed.
 
 use crate::frame::{Frame, DELIVERY_EPSILON};
 use dps_sim_core::rng::RngStream;
@@ -214,25 +217,22 @@ impl LossyLink {
         self.next_seq += 1;
     }
 
-    /// Drains every frame deliverable at or before `now`, in `(due, send)`
-    /// order. Each entry decodes at the receiving end: `None` means the
-    /// frame arrived but its tag byte was corrupted beyond recognition.
-    pub fn deliver(&mut self, now: Seconds) -> Vec<(u32, Option<Frame>)> {
-        let mut out = Vec::new();
-        while let Some(head) = self.in_flight.peek() {
-            if head.due <= now + DELIVERY_EPSILON {
-                let head = self.in_flight.pop().expect("peeked entry");
-                let frame = Frame::decode(head.bytes);
-                self.counters.delivered += 1;
-                if frame.is_none() {
-                    self.counters.undecodable += 1;
-                }
-                out.push((head.unit, frame));
-            } else {
-                break;
-            }
+    /// Delivers the earliest frame due at or before `now`, or returns
+    /// `None` when nothing is due. Repeated calls drain the due frames in
+    /// `(due, send)` order. The frame decodes at the receiving end: an
+    /// inner `None` means it arrived but its tag byte was corrupted beyond
+    /// recognition.
+    pub fn pop_due(&mut self, now: Seconds) -> Option<(u32, Option<Frame>)> {
+        if self.in_flight.peek()?.due > now + DELIVERY_EPSILON {
+            return None;
         }
-        out
+        let head = self.in_flight.pop()?;
+        let frame = Frame::decode(head.bytes);
+        self.counters.delivered += 1;
+        if frame.is_none() {
+            self.counters.undecodable += 1;
+        }
+        Some((head.unit, frame))
     }
 
     /// Earliest in-flight due time, if any frames are pending.
@@ -266,13 +266,21 @@ mod tests {
         }
     }
 
+    /// Every frame due at or before `now`, in delivery order.
+    fn deliver(link: &mut LossyLink, now: Seconds) -> Vec<(u32, Option<Frame>)> {
+        std::iter::from_fn(|| link.pop_due(now)).collect()
+    }
+
     #[test]
-    fn faultless_link_behaves_like_latency_link() {
+    fn faultless_link_delays_delivery_by_latency() {
         let mut link = LossyLink::new(clean(0.5), rng("clean"));
         link.send(0.0, 3, Frame::power_report(100.0));
-        assert!(link.deliver(0.4).is_empty());
-        let out = link.deliver(0.5);
-        assert_eq!(out, vec![(3, Some(Frame::power_report(100.0)))]);
+        assert_eq!(link.pop_due(0.4), None);
+        assert_eq!(
+            link.pop_due(0.5),
+            Some((3, Some(Frame::power_report(100.0))))
+        );
+        assert_eq!(link.pop_due(0.5), None);
         assert_eq!(link.pending(), 0);
         assert_eq!(link.counters().delivered, 1);
     }
@@ -283,8 +291,16 @@ mod tests {
         for u in 0..16u32 {
             link.send(0.0, u, Frame::set_cap(u as f64));
         }
-        let order: Vec<u32> = link.deliver(1.0).iter().map(|(u, _)| *u).collect();
+        let order: Vec<u32> = deliver(&mut link, 1.0).iter().map(|(u, _)| *u).collect();
         assert_eq!(order, (0..16).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn zero_latency_delivers_at_send_time() {
+        let mut link = LossyLink::new(clean(0.0), rng("zero"));
+        link.send(2.0, 1, Frame::set_cap(110.0));
+        assert_eq!(link.next_due(), Some(2.0));
+        assert_eq!(link.pop_due(2.0), Some((1, Some(Frame::set_cap(110.0)))));
     }
 
     #[test]
@@ -299,8 +315,8 @@ mod tests {
             a.send(0.0, u, Frame::power_report(1.0));
             b.send(0.0, u, Frame::power_report(1.0));
         }
-        let da = a.deliver(1.0);
-        let db = b.deliver(1.0);
+        let da = deliver(&mut a, 1.0);
+        let db = deliver(&mut b, 1.0);
         assert_eq!(da, db, "same seed, same losses");
         assert!(da.len() > 50 && da.len() < 150, "got {}", da.len());
         assert_eq!(a.counters().dropped + da.len() as u64, 200);
@@ -316,7 +332,7 @@ mod tests {
         for u in 0..64u32 {
             link.send(0.0, u, Frame::power_report(u as f64));
         }
-        let order: Vec<u32> = link.deliver(10.0).iter().map(|(u, _)| *u).collect();
+        let order: Vec<u32> = deliver(&mut link, 10.0).iter().map(|(u, _)| *u).collect();
         assert_eq!(order.len(), 64);
         let mut sorted = order.clone();
         sorted.sort_unstable();
@@ -335,10 +351,10 @@ mod tests {
             link.send(0.0, u, Frame::power_report(0.0));
         }
         // Nothing can arrive before the base latency.
-        assert!(link.deliver(0.19).is_empty());
+        assert_eq!(link.pop_due(0.19), None);
         // Everything arrives by latency + jitter.
-        let mut total = link.deliver(0.45).len();
-        total += link.deliver(0.7).len();
+        let mut total = deliver(&mut link, 0.45).len();
+        total += deliver(&mut link, 0.7).len();
         assert_eq!(total, 32);
     }
 
@@ -352,7 +368,7 @@ mod tests {
         for u in 0..300u32 {
             link.send(0.0, u, Frame::power_report(110.0));
         }
-        let out = link.deliver(1.0);
+        let out = deliver(&mut link, 1.0);
         assert_eq!(out.len(), 300);
         let undecodable = out.iter().filter(|(_, f)| f.is_none()).count();
         // A corrupted tag byte usually fails decode; corrupted payload
@@ -373,7 +389,7 @@ mod tests {
         for u in 0..10u32 {
             link.send(0.0, u, Frame::set_cap(50.0));
         }
-        assert_eq!(link.deliver(1.0).len(), 20);
+        assert_eq!(deliver(&mut link, 1.0).len(), 20);
         assert_eq!(link.counters().duplicated, 10);
     }
 
@@ -383,13 +399,13 @@ mod tests {
         link.send(0.0, 1, Frame::power_report(10.0));
         link.set_partitioned(true);
         link.send(0.1, 2, Frame::power_report(20.0));
-        let out = link.deliver(2.0);
+        let out = deliver(&mut link, 2.0);
         assert_eq!(out.len(), 1, "pre-partition frame still delivers");
         assert_eq!(out[0].0, 1);
         assert_eq!(link.counters().blocked, 1);
         link.set_partitioned(false);
         link.send(2.0, 3, Frame::power_report(30.0));
-        assert_eq!(link.deliver(3.0).len(), 1);
+        assert_eq!(deliver(&mut link, 3.0).len(), 1);
     }
 
     #[test]

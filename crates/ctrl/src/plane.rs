@@ -25,6 +25,50 @@
 //! Everything is deterministic per seed: link randomness comes from
 //! dedicated [`RngStream`] children and the event loop breaks time ties in
 //! node/sequence order.
+//!
+//! # Event queues
+//!
+//! The gather and settle loops step from one event time to the next. The
+//! reference semantics is a loop that, at every step, scans all links for
+//! the earliest due frame, pumps every node's down then up link, and
+//! sweeps every node's (gather) or unit's (settle) deadline. Three lazy
+//! min-heaps of `(time, index)` entries replace those scans; an entry is
+//! checked against live state when it reaches the top, and a stale one is
+//! dropped there:
+//!
+//! * **Link heads**, keyed `2·node + dir` (0 = down, 1 = up). An entry is
+//!   pushed after a send moves a link's head and after the link delivers.
+//!   It is valid while [`LossyLink::next_due`] still equals its time.
+//! * **Gather deadlines**, keyed by node. Valid while the node is still
+//!   gathering and its deadline equals the entry's time.
+//! * **Assignment deadlines**, keyed by unit. Valid while the unit has an
+//!   outstanding assignment with that deadline.
+//!
+//! Counters replace the remaining scans: nodes still gathering, unreported
+//! units per node and outstanding assignments.
+//!
+//! The queues reproduce the scanning loop bit for bit — every decision,
+//! RNG draw and counter — because they keep its order:
+//!
+//! * **Loop shape.** One iteration per distinct event time, with
+//!   `t = next.max(t)` and the `deadline + ε` exit, so iteration counts
+//!   match. The iteration bound grows with the fleet but never drops below
+//!   the scan's fixed 1,000,000, so no run that fitted under it changes.
+//! * **Pumps.** A pump at `t` visits only the nodes with a link due by
+//!   `t + ε`, ascending, each node's down link before its up link. That is
+//!   exact because handling node k sends only on k's own links (agent
+//!   replies up, corrective re-sends down): no other node gains a due frame
+//!   mid-pump.
+//! * **Timers.** Deadlines due by `t + ε` fire in ascending node or unit
+//!   order, so each link's RNG stream sees its sends in the scan's order.
+//! * **Completion.** A node stops gathering when its last unit reports. The
+//!   scan skips such a node in the same step's sweep and marks it done
+//!   before computing the next step, so marking it at once changes nothing.
+//!
+//! **Cost.** A step costs O(log n) per queue entry it pops plus the
+//! deliveries and timers it handles, instead of O(nodes + units). What
+//! stays linear is per cycle, not per event: polling every unit, the
+//! scatter pass and the [`Controller`]'s own bookkeeping.
 
 use crate::agent::NodeAgent;
 use crate::config::{FramedConfig, RetryPolicy};
@@ -36,10 +80,17 @@ use crate::stats::CtrlStats;
 use dps_core::manager::{PowerManager, UnitLimits};
 use dps_sim_core::rng::RngStream;
 use dps_sim_core::units::{Seconds, Watts};
+use std::cmp::Ordering;
+use std::collections::BinaryHeap;
 
-/// Safety bound on event-loop iterations within one phase; generous —
-/// traffic per cycle is O(units × retries).
-const MAX_EVENTS: usize = 1_000_000;
+/// Floor of the per-phase event-loop bound (see
+/// [`FramedControlPlane::event_bound`]).
+const MIN_EVENTS: usize = 1_000_000;
+
+/// Link-key offsets: node `k`'s down link is `2k + DOWN`, its up link
+/// `2k + UP`.
+const DOWN: usize = 0;
+const UP: usize = 1;
 
 /// A cap assignment awaiting acknowledgement.
 #[derive(Debug, Clone, Copy)]
@@ -48,6 +99,92 @@ struct Outstanding {
     deadline: Seconds,
     retries_left: u32,
     attempt: u32,
+}
+
+/// One `(time, index)` entry of an [`EventQueue`].
+#[derive(Debug, Clone, Copy)]
+struct Due {
+    time: Seconds,
+    index: usize,
+}
+
+impl PartialEq for Due {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+impl Eq for Due {}
+
+impl Ord for Due {
+    fn cmp(&self, other: &Self) -> Ordering {
+        // Reversed: BinaryHeap is a max-heap and we want earliest first.
+        other
+            .time
+            .total_cmp(&self.time)
+            .then(other.index.cmp(&self.index))
+    }
+}
+impl PartialOrd for Due {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+/// A lazy min-heap of `(time, index)` events. Entries stay in the heap
+/// when the state they describe moves on; each query takes a validity
+/// check against live state and drops the stale entries it meets.
+#[derive(Debug, Default)]
+struct EventQueue {
+    heap: BinaryHeap<Due>,
+}
+
+impl EventQueue {
+    fn push(&mut self, time: Seconds, index: usize) {
+        self.heap.push(Due { time, index });
+    }
+
+    fn clear(&mut self) {
+        self.heap.clear();
+    }
+
+    /// Empties the queue, yielding every entry's index, stale ones included.
+    fn drain(&mut self) -> impl Iterator<Item = usize> + '_ {
+        self.heap.drain().map(|due| due.index)
+    }
+
+    /// Time of the earliest valid entry.
+    fn peek(&mut self, valid: impl Fn(Seconds, usize) -> bool) -> Option<Seconds> {
+        while let Some(&Due { time, index }) = self.heap.peek() {
+            if valid(time, index) {
+                return Some(time);
+            }
+            self.heap.pop();
+        }
+        None
+    }
+
+    /// Pops every entry due at or before `now` (within
+    /// [`DELIVERY_EPSILON`]) into `out`: the valid ones' indices,
+    /// ascending and deduplicated.
+    fn pop_due(
+        &mut self,
+        now: Seconds,
+        valid: impl Fn(Seconds, usize) -> bool,
+        out: &mut Vec<usize>,
+    ) {
+        out.clear();
+        while let Some(&Due { time, index }) = self.heap.peek() {
+            if time > now + DELIVERY_EPSILON {
+                break;
+            }
+            self.heap.pop();
+            if valid(time, index) {
+                out.push(index);
+            }
+        }
+        out.sort_unstable();
+        out.dedup();
+    }
 }
 
 /// The framed control plane for one cluster.
@@ -59,14 +196,16 @@ pub struct FramedControlPlane {
     units_per_node: usize,
     controller: Controller,
     agents: Vec<NodeAgent>,
-    down: Vec<LossyLink>,
-    up: Vec<LossyLink>,
+    /// Both link directions of every node, keyed `2·node + DOWN/UP`.
+    links: Vec<LossyLink>,
     /// Raw power readings snapshot the agents answer polls from.
     readings: Vec<Watts>,
     /// Flat mirror of the agents' programmed caps, refreshed per cycle.
     applied: Vec<Watts>,
     /// Per-unit outstanding cap assignment.
     outstanding: Vec<Option<Outstanding>>,
+    /// Units whose `outstanding` entry is set.
+    n_outstanding: usize,
     /// Last cap intentionally sent per unit (wire deciwatts) — what a
     /// stray acknowledgement is compared against to spot rogue caps.
     last_sent: Vec<u16>,
@@ -75,6 +214,16 @@ pub struct FramedControlPlane {
     node_retries_left: Vec<u32>,
     node_attempt: Vec<u32>,
     node_done: Vec<bool>,
+    /// Units of the node that have not reported this epoch.
+    unreported: Vec<usize>,
+    /// Nodes not yet done gathering.
+    open_nodes: usize,
+    // Event queues (see the module docs).
+    link_heads: EventQueue,
+    node_timers: EventQueue,
+    unit_timers: EventQueue,
+    /// Scratch: node or unit indices due in the current step.
+    due: Vec<usize>,
     /// Scratch: units deferred to the raise phase.
     raises: Vec<usize>,
     retries: u64,
@@ -105,9 +254,13 @@ impl FramedControlPlane {
         let agents = (0..n_nodes)
             .map(|node| NodeAgent::new(node * units_per_node, units_per_node, initial_cap, limits))
             .collect();
-        let link = |dir: &str, node: usize| {
-            LossyLink::new(config.link, rng.child(&format!("link/{dir}/{node}")))
-        };
+        let links = (0..n_nodes)
+            .flat_map(|node| {
+                ["down", "up"].map(|dir| {
+                    LossyLink::new(config.link, rng.child(&format!("link/{dir}/{node}")))
+                })
+            })
+            .collect();
         Self {
             policy: config.policy,
             faults: config.faults,
@@ -115,16 +268,22 @@ impl FramedControlPlane {
             units_per_node,
             controller,
             agents,
-            down: (0..n_nodes).map(|n| link("down", n)).collect(),
-            up: (0..n_nodes).map(|n| link("up", n)).collect(),
+            links,
             readings: vec![0.0; n],
             applied: vec![limits.clamp(initial_cap); n],
             outstanding: vec![None; n],
+            n_outstanding: 0,
             last_sent: vec![watts_to_wire(limits.clamp(initial_cap)); n],
             node_deadline: vec![0.0; n_nodes],
             node_retries_left: vec![0; n_nodes],
             node_attempt: vec![0; n_nodes],
             node_done: vec![false; n_nodes],
+            unreported: vec![units_per_node; n_nodes],
+            open_nodes: 0,
+            link_heads: EventQueue::default(),
+            node_timers: EventQueue::default(),
+            unit_timers: EventQueue::default(),
+            due: Vec::new(),
             raises: Vec::with_capacity(n),
             retries: 0,
             epoch: 0,
@@ -180,29 +339,104 @@ impl FramedControlPlane {
                 self.agents[node].reboot();
             }
             let partitioned = self.faults.partitioned(node, now);
-            self.down[node].set_partitioned(partitioned);
-            self.up[node].set_partitioned(partitioned);
             let boost = self.faults.corrupt_boost(node, now);
-            self.down[node].set_corrupt_boost(boost);
-            self.up[node].set_corrupt_boost(boost);
+            for link in &mut self.links[2 * node..2 * node + 2] {
+                link.set_partitioned(partitioned);
+                link.set_corrupt_boost(boost);
+            }
         }
     }
 
-    /// Delivers everything due at `t` on every link, feeding agents and
-    /// controller. Node order breaks simultaneous-delivery ties.
+    /// Iteration bound for one gather or settle phase.
+    ///
+    /// Each iteration jumps to the earliest pending event, then delivers
+    /// at least one frame or fires at least one timer: a frame due at the
+    /// new time is delivered by the pump, and a timer due then fires
+    /// unless a delivery in the same step resolved it first. A phase puts
+    /// at most `1 + max_retries` requests per unit on the wire; the link
+    /// may duplicate each, and every delivered copy draws at most one
+    /// reply that may be duplicated again — at most six deliveries per
+    /// request. Timers fire at most `1 + max_retries` times per node
+    /// (gather) or unit (settle). That gives `(1 + max_retries) ×
+    /// (7·units + nodes)`; the factor 2 leaves room for frames still in
+    /// flight from the previous phase and for corrective re-sends after
+    /// corrupted acknowledgements, the only traffic outside the count.
+    /// The bound is a safety net, not part of the protocol, but it must
+    /// grow with the fleet: under jitter nearly every frame arrives at its
+    /// own time, so a half-million-unit gather takes over a million steps.
+    /// The floor of 1,000,000 leaves every smaller plane's bound where it
+    /// was.
+    fn event_bound(&self) -> usize {
+        let units = self.outstanding.len();
+        let per_attempt = units.saturating_mul(7).saturating_add(self.n_nodes);
+        let attempts = (self.policy.max_retries as usize).saturating_add(1);
+        per_attempt
+            .saturating_mul(attempts)
+            .saturating_mul(2)
+            .max(MIN_EVENTS)
+    }
+
+    /// Sends `frame` for `unit` on link `key` at `t`, queueing the link's
+    /// new head when the send moved it.
+    fn send(&mut self, key: usize, t: Seconds, unit: usize, frame: Frame) {
+        let link = &mut self.links[key];
+        let head = link.next_due();
+        link.send(t, unit as u32, frame);
+        if let Some(due) = link.next_due().filter(|&due| Some(due) != head) {
+            self.link_heads.push(due, key);
+        }
+    }
+
+    /// Queues link `key`'s current head, if it has one. Called after the
+    /// link delivered: a link that delivered nothing kept its queued head
+    /// (sends that move a head queue it themselves).
+    fn requeue(&mut self, key: usize) {
+        if let Some(due) = self.links[key].next_due() {
+            self.link_heads.push(due, key);
+        }
+    }
+
+    /// The earliest due frame on any link.
+    fn next_frame(&mut self) -> Option<Seconds> {
+        let links = &self.links;
+        self.link_heads
+            .peek(|time, key| links[key].next_due() == Some(time))
+    }
+
+    /// Delivers everything due at `t`, feeding agents and controller.
+    /// Nodes with a due link go in ascending order, down link first, which
+    /// breaks simultaneous-delivery ties.
     fn pump(&mut self, t: Seconds) {
-        for node in 0..self.n_nodes {
-            for (unit, maybe) in self.down[node].deliver(t) {
+        let links = &self.links;
+        self.link_heads.pop_due(
+            t,
+            |time, key| links[key].next_due() == Some(time),
+            &mut self.due,
+        );
+        let mut nodes = std::mem::take(&mut self.due);
+        for key in &mut nodes {
+            *key /= 2;
+        }
+        nodes.dedup();
+        for &node in &nodes {
+            let (down, up) = (2 * node + DOWN, 2 * node + UP);
+            let mut delivered = false;
+            while let Some((unit, maybe)) = self.links[down].pop_due(t) {
+                delivered = true;
                 let Some(frame) = maybe else { continue };
                 if let Some(resp) = self.agents[node].handle(unit, frame, &self.readings) {
-                    self.up[node].send(t, unit, resp);
+                    self.send(up, t, unit as usize, resp);
                 }
             }
-            for (unit, maybe) in self.up[node].deliver(t) {
+            if delivered {
+                self.requeue(down);
+            }
+            delivered = false;
+            while let Some((unit, maybe)) = self.links[up].pop_due(t) {
+                delivered = true;
                 match maybe {
                     Some(Frame::PowerReport { deciwatts }) => {
-                        self.controller
-                            .record_report(unit as usize, Frame::PowerReport { deciwatts }.watts());
+                        self.on_report(unit as usize, Frame::PowerReport { deciwatts }.watts());
                     }
                     Some(Frame::CapAck { deciwatts }) => self.on_ack(t, unit as usize, deciwatts),
                     // Client-bound frames on the up link can only be
@@ -210,11 +444,50 @@ impl FramedControlPlane {
                     _ => {}
                 }
             }
+            if delivered {
+                self.requeue(up);
+            }
+        }
+        self.due = nodes;
+    }
+
+    /// Records a power report for `unit`; the node stops gathering once
+    /// its last unit has reported.
+    fn on_report(&mut self, unit: usize, watts: Watts) {
+        if !self.controller.unit_reported(unit) {
+            let node = unit / self.units_per_node;
+            self.unreported[node] -= 1;
+            if self.unreported[node] == 0 && !self.node_done[node] {
+                self.close_node(node);
+            }
+        }
+        self.controller.record_report(unit, watts);
+    }
+
+    /// Marks `node` done gathering.
+    fn close_node(&mut self, node: usize) {
+        self.node_done[node] = true;
+        self.open_nodes -= 1;
+    }
+
+    /// Sets `unit`'s outstanding assignment and queues its deadline.
+    fn arm(&mut self, unit: usize, out: Outstanding) {
+        if self.outstanding[unit].replace(out).is_none() {
+            self.n_outstanding += 1;
+        }
+        self.unit_timers.push(out.deadline, unit);
+    }
+
+    /// Resolves `unit`'s outstanding assignment, if any.
+    fn disarm(&mut self, unit: usize) {
+        if self.outstanding[unit].take().is_some() {
+            self.n_outstanding -= 1;
         }
     }
 
     /// Handles an acknowledged cap for `unit` carrying `dw` deciwatts.
     fn on_ack(&mut self, t: Seconds, unit: usize, dw: u16) {
+        let node = unit / self.units_per_node;
         let Some(mut out) = self.outstanding[unit] else {
             // No assignment pending: a duplicate, a late ack of a resolved
             // assignment, or the agent confirming a *rogue* cap — a
@@ -229,16 +502,19 @@ impl FramedControlPlane {
             if dw != self.last_sent[unit] {
                 let intended = self.last_sent[unit];
                 self.retries += 1;
-                self.outstanding[unit] = Some(Outstanding {
-                    wire: intended,
-                    deadline: t + self.policy.timeout,
-                    retries_left: self.policy.max_retries,
-                    attempt: 0,
-                });
-                let node = unit / self.units_per_node;
-                self.down[node].send(
+                self.arm(
+                    unit,
+                    Outstanding {
+                        wire: intended,
+                        deadline: t + self.policy.timeout,
+                        retries_left: self.policy.max_retries,
+                        attempt: 0,
+                    },
+                );
+                self.send(
+                    2 * node + DOWN,
                     t,
-                    unit as u32,
+                    unit,
                     Frame::SetCap {
                         deciwatts: intended,
                     },
@@ -247,7 +523,7 @@ impl FramedControlPlane {
             return;
         };
         if out.wire == dw {
-            self.outstanding[unit] = None;
+            self.disarm(unit);
             self.controller
                 .note_cap_acked(unit, Frame::CapAck { deciwatts: dw }.watts());
         } else if out.retries_left > 0 {
@@ -257,38 +533,21 @@ impl FramedControlPlane {
             out.attempt += 1;
             out.deadline = t + self.policy.timeout_for_attempt(out.attempt);
             self.retries += 1;
-            let node = unit / self.units_per_node;
-            self.down[node].send(
+            self.send(
+                2 * node + DOWN,
                 t,
-                unit as u32,
+                unit,
                 Frame::SetCap {
                     deciwatts: out.wire,
                 },
             );
-            self.outstanding[unit] = Some(out);
+            self.arm(unit, out);
         } else {
             // Out of retries: accept reality, pessimistically.
-            self.outstanding[unit] = None;
+            self.disarm(unit);
             self.controller
                 .note_unexpected_applied(unit, Frame::CapAck { deciwatts: dw }.watts());
         }
-    }
-
-    /// The earliest pending event across links and the given deadlines.
-    fn next_event(&self, extra_deadlines: impl Iterator<Item = Seconds>) -> Seconds {
-        let mut next = f64::INFINITY;
-        for node in 0..self.n_nodes {
-            if let Some(due) = self.down[node].next_due() {
-                next = next.min(due);
-            }
-            if let Some(due) = self.up[node].next_due() {
-                next = next.min(due);
-            }
-        }
-        for d in extra_deadlines {
-            next = next.min(d);
-        }
-        next
     }
 
     /// Polls every unit and runs the gather event loop until every node
@@ -296,68 +555,66 @@ impl FramedControlPlane {
     /// passes. Returns the simulated time gather ended.
     fn gather(&mut self, start: Seconds, deadline: Seconds) -> Seconds {
         let seq = (self.epoch & 0xFFFF) as u16;
+        let first_deadline = start + self.policy.timeout;
+        self.node_timers.clear();
         for node in 0..self.n_nodes {
             let base = node * self.units_per_node;
-            for local in 0..self.units_per_node {
-                self.down[node].send(start, (base + local) as u32, Frame::Poll { seq });
+            for unit in base..base + self.units_per_node {
+                self.send(2 * node + DOWN, start, unit, Frame::Poll { seq });
             }
-            self.node_deadline[node] = start + self.policy.timeout;
+            self.node_deadline[node] = first_deadline;
             self.node_retries_left[node] = self.policy.max_retries;
             self.node_attempt[node] = 0;
             self.node_done[node] = false;
+            self.unreported[node] = self.units_per_node;
+            self.node_timers.push(first_deadline, node);
         }
+        self.open_nodes = self.n_nodes;
 
         let mut t = start;
-        for _ in 0..MAX_EVENTS {
-            for node in 0..self.n_nodes {
-                if !self.node_done[node] && self.node_units_reported(node) {
-                    self.node_done[node] = true;
-                }
-            }
-            if self.node_done.iter().all(|d| *d) {
+        for _ in 0..self.event_bound() {
+            if self.open_nodes == 0 {
                 break;
             }
-            let next = self.next_event(
-                (0..self.n_nodes)
-                    .filter(|n| !self.node_done[*n])
-                    .map(|n| self.node_deadline[n]),
-            );
+            let (done, node_deadline) = (&self.node_done, &self.node_deadline);
+            let timer = self
+                .node_timers
+                .peek(|time, node| !done[node] && node_deadline[node] == time);
+            let next = earliest(self.next_frame(), timer);
             if next > deadline + DELIVERY_EPSILON {
                 t = deadline;
                 break;
             }
             t = next.max(t);
             self.pump(t);
-            for node in 0..self.n_nodes {
-                if self.node_done[node] || self.node_units_reported(node) {
-                    continue;
-                }
-                if self.node_deadline[node] <= t + DELIVERY_EPSILON {
-                    if self.node_retries_left[node] > 0 {
-                        self.node_retries_left[node] -= 1;
-                        self.node_attempt[node] += 1;
-                        let base = node * self.units_per_node;
-                        for local in 0..self.units_per_node {
-                            let unit = base + local;
-                            if !self.controller.unit_reported(unit) {
-                                self.down[node].send(t, unit as u32, Frame::Poll { seq });
-                                self.retries += 1;
-                            }
+            let (done, node_deadline) = (&self.node_done, &self.node_deadline);
+            self.node_timers.pop_due(
+                t,
+                |time, node| !done[node] && node_deadline[node] == time,
+                &mut self.due,
+            );
+            let due = std::mem::take(&mut self.due);
+            for &node in &due {
+                if self.node_retries_left[node] > 0 {
+                    self.node_retries_left[node] -= 1;
+                    self.node_attempt[node] += 1;
+                    let base = node * self.units_per_node;
+                    for unit in base..base + self.units_per_node {
+                        if !self.controller.unit_reported(unit) {
+                            self.send(2 * node + DOWN, t, unit, Frame::Poll { seq });
+                            self.retries += 1;
                         }
-                        self.node_deadline[node] =
-                            t + self.policy.timeout_for_attempt(self.node_attempt[node]);
-                    } else {
-                        self.node_done[node] = true;
                     }
+                    self.node_deadline[node] =
+                        t + self.policy.timeout_for_attempt(self.node_attempt[node]);
+                    self.node_timers.push(self.node_deadline[node], node);
+                } else {
+                    self.close_node(node);
                 }
             }
+            self.due = due;
         }
         t
-    }
-
-    fn node_units_reported(&self, node: usize) -> bool {
-        let base = node * self.units_per_node;
-        (base..base + self.units_per_node).all(|u| self.controller.unit_reported(u))
     }
 
     /// Two-phase cap distribution. Phase one sends every lower-or-equal
@@ -394,15 +651,18 @@ impl FramedControlPlane {
         let Frame::SetCap { deciwatts } = frame else {
             unreachable!()
         };
-        self.outstanding[unit] = Some(Outstanding {
-            wire: deciwatts,
-            deadline: t + self.policy.timeout,
-            retries_left: self.policy.max_retries,
-            attempt: 0,
-        });
+        self.arm(
+            unit,
+            Outstanding {
+                wire: deciwatts,
+                deadline: t + self.policy.timeout,
+                retries_left: self.policy.max_retries,
+                attempt: 0,
+            },
+        );
         self.last_sent[unit] = deciwatts;
         let node = unit / self.units_per_node;
-        self.down[node].send(t, unit as u32, frame);
+        self.send(2 * node + DOWN, t, unit, frame);
     }
 
     /// Runs the event loop until every outstanding assignment resolved
@@ -410,46 +670,59 @@ impl FramedControlPlane {
     /// ended.
     fn settle(&mut self, start: Seconds, deadline: Seconds) -> Seconds {
         let mut t = start;
-        for _ in 0..MAX_EVENTS {
-            if self.outstanding.iter().all(|o| o.is_none()) {
+        for _ in 0..self.event_bound() {
+            if self.n_outstanding == 0 {
                 break;
             }
-            let next = self.next_event(self.outstanding.iter().flatten().map(|o| o.deadline));
+            let outstanding = &self.outstanding;
+            let timer = self
+                .unit_timers
+                .peek(|time, unit| outstanding[unit].is_some_and(|o| o.deadline == time));
+            let next = earliest(self.next_frame(), timer);
             if next > deadline + DELIVERY_EPSILON {
                 t = deadline;
-                for o in &mut self.outstanding {
-                    // Past the cycle boundary: give up. Belief stays
-                    // pessimistic (raises were counted at send).
-                    *o = None;
+                // Past the cycle boundary: give up. Belief stays
+                // pessimistic (raises were counted at send). Every
+                // outstanding unit has an entry in the queue.
+                for unit in self.unit_timers.drain() {
+                    self.outstanding[unit] = None;
                 }
+                self.n_outstanding = 0;
                 break;
             }
             t = next.max(t);
             self.pump(t);
-            for unit in 0..self.outstanding.len() {
+            let outstanding = &self.outstanding;
+            self.unit_timers.pop_due(
+                t,
+                |time, unit| outstanding[unit].is_some_and(|o| o.deadline == time),
+                &mut self.due,
+            );
+            let due = std::mem::take(&mut self.due);
+            for &unit in &due {
                 let Some(mut out) = self.outstanding[unit] else {
                     continue;
                 };
-                if out.deadline <= t + DELIVERY_EPSILON {
-                    if out.retries_left > 0 {
-                        out.retries_left -= 1;
-                        out.attempt += 1;
-                        out.deadline = t + self.policy.timeout_for_attempt(out.attempt);
-                        self.retries += 1;
-                        let node = unit / self.units_per_node;
-                        self.down[node].send(
-                            t,
-                            unit as u32,
-                            Frame::SetCap {
-                                deciwatts: out.wire,
-                            },
-                        );
-                        self.outstanding[unit] = Some(out);
-                    } else {
-                        self.outstanding[unit] = None;
-                    }
+                if out.retries_left > 0 {
+                    out.retries_left -= 1;
+                    out.attempt += 1;
+                    out.deadline = t + self.policy.timeout_for_attempt(out.attempt);
+                    self.retries += 1;
+                    let node = unit / self.units_per_node;
+                    self.send(
+                        2 * node + DOWN,
+                        t,
+                        unit,
+                        Frame::SetCap {
+                            deciwatts: out.wire,
+                        },
+                    );
+                    self.arm(unit, out);
+                } else {
+                    self.disarm(unit);
                 }
             }
+            self.due = due;
         }
         t
     }
@@ -506,14 +779,18 @@ impl FramedControlPlane {
     /// Aggregated statistics (links + controller + retries).
     pub fn stats(&self) -> CtrlStats {
         let mut stats = CtrlStats::default();
-        for node in 0..self.n_nodes {
-            stats.absorb_link(self.down[node].counters());
-            stats.absorb_link(self.up[node].counters());
+        for link in &self.links {
+            stats.absorb_link(link.counters());
         }
         self.controller.fill_stats(&mut stats);
         stats.retries = self.retries;
         stats
     }
+}
+
+/// The earlier of two optional event times; infinity when neither exists.
+fn earliest(a: Option<Seconds>, b: Option<Seconds>) -> Seconds {
+    a.unwrap_or(f64::INFINITY).min(b.unwrap_or(f64::INFINITY))
 }
 
 #[cfg(test)]

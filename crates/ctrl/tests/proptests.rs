@@ -9,7 +9,7 @@ fn drain(link: &mut LossyLink, until: f64) -> Vec<(u32, Option<Frame>)> {
     let mut out = Vec::new();
     let mut now = 0.0;
     while now <= until {
-        out.extend(link.deliver(now));
+        out.extend(std::iter::from_fn(|| link.pop_due(now)));
         now += 0.05;
     }
     out
