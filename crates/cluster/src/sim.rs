@@ -42,8 +42,8 @@ use dps_sched::{JobRecord, JobScheduler, SchedConfig, SchedEvent};
 use dps_sim_core::rng::RngStream;
 use dps_sim_core::units::{Seconds, SimClock, Watts};
 use dps_traffic::{RequestStats, TrafficConfig, TrafficDriver};
-use dps_workloads::generator::socket_variant;
-use dps_workloads::{DemandProgram, PerfModel, RunningWorkload};
+use dps_workloads::generator::{socket_factor, socket_variant};
+use dps_workloads::{DemandProgram, PerfModel, PhaseShape, RunningWorkload};
 
 /// How measurements and cap assignments travel between the manager and the
 /// units. See the "Control-plane modes" section of `DESIGN.md`.
@@ -253,15 +253,16 @@ impl SimConfig {
 /// factory that ignores the index.
 pub type ProgramFactory = Box<dyn FnMut(usize) -> DemandProgram + Send>;
 
-/// One cluster's job: the shared run state plus per-socket demand variants.
+/// One cluster's job: the shared run state plus a demand factor per
+/// socket over its program (see [`socket_demands`]).
 struct ClusterJob {
     run: RunningWorkload,
-    socket_programs: Vec<DemandProgram>,
+    socket_factors: Vec<f64>,
     /// Regenerates the program per run; `None` replays the same program.
     factory: Option<ProgramFactory>,
     /// Run index the current program realises.
     realized_run: usize,
-    /// Stream for per-run socket variants.
+    /// Stream for per-run socket factors.
     variant_rng: RngStream,
 }
 
@@ -278,7 +279,7 @@ struct PinnedState {
 struct ActiveJob {
     id: usize,
     run: RunningWorkload,
-    socket_programs: Vec<DemandProgram>,
+    socket_factors: Vec<f64>,
     /// Global unit indices the job occupies (whole nodes).
     units: Vec<usize>,
 }
@@ -290,7 +291,7 @@ struct SchedState {
     /// Per-unit occupancy, mirrored to the manager on change.
     occupied: Vec<bool>,
     enforce_walltime: bool,
-    /// Stream deriving each job's program realisation and socket variants.
+    /// Stream deriving each job's program realisation and socket factors.
     job_rng: RngStream,
 }
 
@@ -332,9 +333,33 @@ struct Stage<'a> {
     sink: &'a SinkHandle,
 }
 
-/// Builds `n` per-socket demand variants of one base program.
-fn make_variants(base: &DemandProgram, tdp: f64, n: usize, rng: &RngStream) -> Vec<DemandProgram> {
-    (0..n).map(|s| socket_variant(base, tdp, s, rng)).collect()
+/// Demand factors of the `n` sockets sharing one program.
+fn socket_factors(n: usize, rng: &RngStream) -> Vec<f64> {
+    (0..n).map(|s| socket_factor(s, rng)).collect()
+}
+
+/// The phase shape and fraction a job's sockets share this window, or
+/// `None` while the job demands nothing (between runs, after a one-shot
+/// run, or where the program's own demand is not positive).
+fn shared_phase(run: &RunningWorkload) -> Option<(PhaseShape, f64)> {
+    run.locate().filter(|(shape, f)| shape.demand_at(*f) > 0.0)
+}
+
+/// Each socket's demand: the shared phase scaled by the socket's factor
+/// and clamped at `tdp`. This is bit for bit what the socket's own
+/// [`socket_variant`] program returns at the job's position: a variant
+/// keeps the base's phase durations, so it locates the same phase and
+/// fraction, and its shape there is `shape.scaled(factor, tdp)`. Scale
+/// first, then interpolate: `factor · shape.demand_at(f)` rounds
+/// differently.
+fn socket_demands(
+    (shape, f): (PhaseShape, f64),
+    tdp: Watts,
+    factors: &[f64],
+) -> impl Iterator<Item = Watts> + '_ {
+    factors
+        .iter()
+        .map(move |&k| shape.scaled(k, tdp).demand_at(f))
 }
 
 /// Advances a barrier-synchronised job by one window, given its sockets'
@@ -355,7 +380,7 @@ fn barrier_advance(run: &mut RunningWorkload, rates: impl Iterator<Item = f64>, 
 
 impl PinnedState {
     /// One job per cluster from `(program, factory)` pairs; per-socket
-    /// variants derive deterministically from `rng`.
+    /// demand factors derive deterministically from `rng`.
     fn new(
         config: &SimConfig,
         programs: Vec<(DemandProgram, Option<ProgramFactory>)>,
@@ -366,16 +391,15 @@ impl PinnedState {
             config.topology.clusters,
             "one program per cluster"
         );
-        let (tdp, per_cluster) = (config.domain_spec.tdp, config.topology.units_per_cluster());
+        let per_cluster = config.topology.units_per_cluster();
         let jobs = programs
             .into_iter()
             .enumerate()
             .map(|(c, (base, factory))| {
                 let variant_rng = rng.child(&format!("cluster/{c}/variants"));
-                let socket_programs = make_variants(&base, tdp, per_cluster, &variant_rng);
                 ClusterJob {
                     run: RunningWorkload::repeating(base, config.perf, config.idle_gap),
-                    socket_programs,
+                    socket_factors: socket_factors(per_cluster, &variant_rng),
                     factory,
                     realized_run: 0,
                     variant_rng,
@@ -407,10 +431,9 @@ impl PinnedState {
 
     /// Each cluster's job advances at the pace of its slowest socket; a
     /// completed run's successor gets a freshly generated program (and
-    /// socket variants) at the run boundary.
+    /// socket factors) at the run boundary.
     fn advance(&mut self, at: &Stage, demands: &[Watts], true_power: &[Watts]) {
         let (cfg, topo) = (at.config, at.config.topology);
-        let (tdp, per_cluster) = (cfg.domain_spec.tdp, topo.units_per_cluster());
         let rate = |u: usize| cfg.perf.rate(demands[u], true_power[u]);
         for (c, job) in self.jobs.iter_mut().enumerate() {
             barrier_advance(&mut job.run, topo.cluster_range(c).map(rate), cfg.period);
@@ -419,7 +442,7 @@ impl PinnedState {
                 if completed > job.realized_run && job.run.position() == 0.0 {
                     let base = factory(completed);
                     let run_rng = job.variant_rng.child(&format!("run{completed}"));
-                    job.socket_programs = make_variants(&base, tdp, per_cluster, &run_rng);
+                    job.socket_factors = socket_factors(topo.units_per_cluster(), &run_rng);
                     job.run.replace_program(base);
                     job.realized_run = completed;
                 }
@@ -483,7 +506,7 @@ impl SchedState {
         let spk = at.config.topology.sockets_per_node;
         for started in self.scheduler.tick(at.now) {
             // Each job gets its own program realisation (run-to-run
-            // variance) and per-socket variants, all derived from the
+            // variance) and per-socket demand factors, all derived from the
             // job id so every manager sees the identical workload.
             let mut job_rng = self.job_rng.child(&format!("job{}", started.id));
             let seed = job_rng.next_u64();
@@ -493,8 +516,6 @@ impl SchedState {
                 .iter()
                 .flat_map(|&node| node * spk..(node + 1) * spk)
                 .collect();
-            let socket_programs =
-                make_variants(&base, at.config.domain_spec.tdp, units.len(), &job_rng);
             for &u in &units {
                 self.occupied[u] = true;
             }
@@ -502,7 +523,7 @@ impl SchedState {
             self.jobs.push(ActiveJob {
                 id: started.id,
                 run: RunningWorkload::once(base, at.config.perf),
-                socket_programs,
+                socket_factors: socket_factors(units.len(), &job_rng),
                 units,
             });
         }
@@ -567,13 +588,17 @@ impl TrafficState {
         // Per-unit serving loops: one base realisation of the service
         // workload, a deterministic per-socket variant each, repeating
         // back-to-back (a serving socket never idles between runs; request
-        // pressure scales its demand instead).
+        // pressure scales its demand instead). Each loop keeps its own
+        // position, so each keeps its own program copy.
         let mut service_rng = rng.child("traffic/service");
         let seed = service_rng.next_u64();
         let base = dps_workloads::build_program(&traffic_cfg.service, &config.perf, seed);
-        let sockets = make_variants(&base, config.domain_spec.tdp, n, &service_rng)
-            .into_iter()
-            .map(|program| RunningWorkload::repeating(program, config.perf, 0.0))
+        let tdp = config.domain_spec.tdp;
+        let sockets = (0..n)
+            .map(|u| {
+                let program = socket_variant(&base, tdp, u, &service_rng);
+                RunningWorkload::repeating(program, config.perf, 0.0)
+            })
             .collect();
 
         let mut occupied = vec![false; n];
@@ -767,30 +792,33 @@ impl Workload {
         }
     }
 
-    /// Per-socket demand from job positions. Units outside membership
+    /// Per-socket demand from job positions: one phase lookup per job,
+    /// scaled by each socket's factor. Units outside membership
     /// (chaos-down, unoccupied, dark) demand nothing.
     fn demands(&self, at: &Stage, demands: &mut [Watts]) {
+        let tdp = at.config.domain_spec.tdp;
         match self {
             Workload::Pinned(st) => {
                 for (c, job) in st.jobs.iter().enumerate() {
-                    let active = job.run.demand() > 0.0;
-                    let pos = job.run.position();
-                    for (s, u) in at.config.topology.cluster_range(c).enumerate() {
-                        demands[u] = if active && st.up[u] {
-                            job.socket_programs[s].demand_at(pos)
-                        } else {
-                            0.0
-                        };
+                    let range = at.config.topology.cluster_range(c);
+                    let (cluster, up) = (&mut demands[range.clone()], &st.up[range]);
+                    let Some(phase) = shared_phase(&job.run) else {
+                        cluster.fill(0.0);
+                        continue;
+                    };
+                    let sockets = socket_demands(phase, tdp, &job.socket_factors);
+                    for ((demand, w), &up) in cluster.iter_mut().zip(sockets).zip(up) {
+                        *demand = if up { w } else { 0.0 };
                     }
                 }
             }
             Workload::Scheduled(st) => {
                 demands.fill(0.0);
                 for job in &st.jobs {
-                    if job.run.demand() > 0.0 {
-                        let pos = job.run.position();
-                        for (k, &u) in job.units.iter().enumerate() {
-                            demands[u] = job.socket_programs[k].demand_at(pos);
+                    if let Some(phase) = shared_phase(&job.run) {
+                        let sockets = socket_demands(phase, tdp, &job.socket_factors);
+                        for (&u, w) in job.units.iter().zip(sockets) {
+                            demands[u] = w;
                         }
                     }
                 }
@@ -918,8 +946,8 @@ impl ClusterSim {
     /// Builds a simulator running one workload per cluster under `manager`.
     ///
     /// `programs[c]` is cluster `c`'s base demand program; per-socket
-    /// variants are derived deterministically from `rng`. The workload
-    /// repeats with the configured idle gap.
+    /// demand factors are derived deterministically from `rng`. The
+    /// workload repeats with the configured idle gap.
     ///
     /// # Panics
     /// Panics unless one program per cluster is supplied and the config

@@ -299,18 +299,24 @@ pub fn build_program(spec: &WorkloadSpec, perf: &PerfModel, seed: u64) -> Demand
     calibrate(structure, perf, 110.0, spec.duration_110w)
 }
 
-/// Per-socket demand variant: sockets of the same cluster run the same
-/// program with a few percent of demand variation (stragglers, NUMA
-/// imbalance), clamped at the TDP ceiling.
+/// Demand factor of socket `socket_index`: sockets of the same cluster run
+/// the same program with a few percent of demand variation (stragglers,
+/// NUMA imbalance), `1 + N(0, 0.03)` clamped to `[0.92, 1.08]` and drawn
+/// from `rng`'s `socket-variant/{socket_index}` child.
+pub fn socket_factor(socket_index: usize, rng: &RngStream) -> f64 {
+    let mut socket_rng = rng.child(&format!("socket-variant/{socket_index}"));
+    (1.0 + socket_rng.normal(0.0, 0.03)).clamp(0.92, 1.08)
+}
+
+/// Per-socket demand variant: the base program scaled by the socket's
+/// [`socket_factor`] and clamped at the TDP ceiling.
 pub fn socket_variant(
     base: &DemandProgram,
     tdp: Watts,
     socket_index: usize,
     rng: &RngStream,
 ) -> DemandProgram {
-    let mut socket_rng = rng.child(&format!("socket-variant/{socket_index}"));
-    let factor = (1.0 + socket_rng.normal(0.0, 0.03)).clamp(0.92, 1.08);
-    base.scale_demand(factor, tdp)
+    base.scale_demand(socket_factor(socket_index, rng), tdp)
 }
 
 #[cfg(test)]

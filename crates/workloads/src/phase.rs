@@ -43,6 +43,21 @@ impl PhaseShape {
             PhaseShape::Ramp { from, to } => from.max(to),
         }
     }
+
+    /// The shape with every demand value multiplied by `factor` and
+    /// clamped to `[0, ceiling]`: one socket's variant of a shared phase
+    /// (see [`DemandProgram::scale_demand`]).
+    #[inline]
+    pub fn scaled(&self, factor: f64, ceiling: Watts) -> PhaseShape {
+        let clamp = |w: Watts| (w * factor).clamp(0.0, ceiling);
+        match *self {
+            PhaseShape::Constant(w) => PhaseShape::Constant(clamp(w)),
+            PhaseShape::Ramp { from, to } => PhaseShape::Ramp {
+                from: clamp(from),
+                to: clamp(to),
+            },
+        }
+    }
 }
 
 /// One phase: a shape held for `duration` seconds of work.
@@ -126,8 +141,22 @@ impl DemandProgram {
 
     /// Demand at work position `pos`; 0 outside `[0, total_work)`.
     pub fn demand_at(&self, pos: Seconds) -> Watts {
+        self.locate(pos)
+            .map_or(0.0, |(shape, f)| shape.demand_at(f))
+    }
+
+    /// The phase shape in force at work position `pos` and the fraction
+    /// through that phase, so that `demand_at(pos)` is
+    /// `shape.demand_at(f)`; `None` outside `[0, total_work)`.
+    ///
+    /// The lookup reads only phase durations, which
+    /// [`DemandProgram::scale_demand`] keeps: a scaled copy locates the same
+    /// phase and fraction, and its shape there is `shape.scaled(factor,
+    /// ceiling)`. Sockets that share a program therefore need one lookup
+    /// between them, not one each.
+    pub fn locate(&self, pos: Seconds) -> Option<(PhaseShape, f64)> {
         if pos < 0.0 || pos >= self.total_work() {
-            return 0.0;
+            return None;
         }
         // Binary search over cumulative end positions: first phase whose end
         // exceeds pos.
@@ -138,8 +167,7 @@ impl DemandProgram {
         } else {
             self.cumulative[idx - 1]
         };
-        let f = (pos - start) / phase.duration;
-        phase.shape.demand_at(f)
+        Some((phase.shape, (pos - start) / phase.duration))
     }
 
     /// Peak demand across the whole program.
@@ -204,22 +232,16 @@ impl DemandProgram {
     }
 
     /// Returns a copy with every demand value multiplied by `factor`,
-    /// clamped to `[0, ceiling]` (per-socket variation).
+    /// clamped to `[0, ceiling]` (per-socket variation): each phase keeps
+    /// its duration and takes [`PhaseShape::scaled`].
     pub fn scale_demand(&self, factor: f64, ceiling: Watts) -> DemandProgram {
         assert!(factor.is_finite() && factor > 0.0);
-        let clamp = |w: Watts| (w * factor).clamp(0.0, ceiling);
         DemandProgram::new(
             self.phases
                 .iter()
                 .map(|p| Phase {
                     duration: p.duration,
-                    shape: match p.shape {
-                        PhaseShape::Constant(w) => PhaseShape::Constant(clamp(w)),
-                        PhaseShape::Ramp { from, to } => PhaseShape::Ramp {
-                            from: clamp(from),
-                            to: clamp(to),
-                        },
-                    },
+                    shape: p.shape.scaled(factor, ceiling),
                 })
                 .collect(),
         )

@@ -9,7 +9,7 @@
 //! inter-run gap is why short NPB runs "look like a power phase").
 
 use crate::perf::PerfModel;
-use crate::phase::DemandProgram;
+use crate::phase::{DemandProgram, PhaseShape};
 use dps_sim_core::units::{Seconds, Watts};
 
 /// Execution state of one workload instance.
@@ -68,10 +68,17 @@ impl RunningWorkload {
     /// Instantaneous power demand (0 during inter-run gaps and after a
     /// non-restarting workload finishes).
     pub fn demand(&self) -> Watts {
+        self.locate().map_or(0.0, |(shape, f)| shape.demand_at(f))
+    }
+
+    /// The phase shape and fraction at the current position (see
+    /// [`DemandProgram::locate`]); `None` during inter-run gaps and after a
+    /// non-restarting workload finishes.
+    pub fn locate(&self) -> Option<(PhaseShape, f64)> {
         if self.gap_remaining > 0.0 || self.is_done() {
-            0.0
+            None
         } else {
-            self.program.demand_at(self.position)
+            self.program.locate(self.position)
         }
     }
 
@@ -101,8 +108,7 @@ impl RunningWorkload {
         (self.position / self.program.total_work()).clamp(0.0, 1.0)
     }
 
-    /// Current work position within the run (for multi-socket demand
-    /// lookup against per-socket program variants).
+    /// Current work position within the run.
     pub fn position(&self) -> Seconds {
         self.position
     }
